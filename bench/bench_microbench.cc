@@ -103,7 +103,9 @@ BENCHMARK(BM_FullMaskConvolve)->DenseRange(2, 12, 2);
 // convolution runs on.
 
 // Batched convolution over a whole level in arena order — the β-search
-// hot path (LevelIndex hash lookups, simd-seeded center terms).
+// hot path (LevelIndex face-neighbor probes, simd-seeded center terms).
+// O(d) per cell: items/s should fall about linearly in d, including past
+// one key word (30d and 62d take 2 and 3 words at level 3).
 void BM_LayoutFaceConvolveLevel(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
   const LabeledDataset ds = MakeData(20000, d);
@@ -120,7 +122,7 @@ void BM_LayoutFaceConvolveLevel(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(level.num_cells()));
 }
-BENCHMARK(BM_LayoutFaceConvolveLevel)->Arg(8)->Arg(14);
+BENCHMARK(BM_LayoutFaceConvolveLevel)->Arg(8)->Arg(14)->Arg(30)->Arg(62);
 
 // Same probes through the tree's root-to-level descent, the path the
 // batched form replaced: O(level * d) per probe instead of O(d).
@@ -160,7 +162,7 @@ void BM_LayoutLevelIndexFind(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(level.num_cells()));
 }
-BENCHMARK(BM_LayoutLevelIndexFind)->Arg(8)->Arg(14);
+BENCHMARK(BM_LayoutLevelIndexFind)->Arg(8)->Arg(14)->Arg(30)->Arg(62);
 
 // Streaming one packed attribute array (the argmax sweep's access
 // pattern): how fast the SoA layout lets a level be scanned.

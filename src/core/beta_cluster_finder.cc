@@ -1,6 +1,7 @@
 #include "core/beta_cluster_finder.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -44,7 +45,8 @@ namespace {
 // Cells are addressed by their packed arena index throughout — the level
 // arena *is* the enumeration, so the caches are plain parallel arrays and
 // every lookup (face neighbor, parent, growth probe) goes through a
-// per-level LevelIndex in O(d) instead of an O(level * d) root descent.
+// per-level LevelIndex — O(1) per face neighbor, O(d) per coordinate
+// lookup — instead of an O(level * d) root descent.
 class BetaClusterFinder {
  public:
   BetaClusterFinder(CountingTree& tree, const BetaFinderOptions& options)
@@ -90,24 +92,25 @@ class BetaClusterFinder {
   struct LevelData {
     bool ready = false;  // Convolution responses cached?
     std::vector<int64_t> conv;  // One response per cell (arena order).
-    std::unique_ptr<LevelIndex> index;  // coords -> cell, built lazily.
+    std::unique_ptr<LevelIndex> index;  // key -> cell, built lazily.
   };
 
-  // coords -> cell table of level h; built on first use (parent-level
+  // key -> cell table of level h; built on first use (parent-level
   // lookups need it one level before the convolution sweep gets there).
   // Serial construction — the table layout must not depend on threads.
   const LevelIndex& EnsureIndex(int h) {
     LevelData& level = levels_[static_cast<size_t>(h)];
     if (level.index == nullptr) {
+      MRCC_TRACE_SPAN_N("beta.index_build", h);
       level.index = std::make_unique<LevelIndex>(tree_.Level(h));
     }
     return *level.index;
   }
 
   // Convolves every cell of level h once and caches the responses. The
-  // coordinate table build is serial and cheap; the Laplacian responses —
-  // the expensive part — are computed in parallel, each worker filling a
-  // disjoint slice of the response array.
+  // index build is serial and cheap; the Laplacian responses — the
+  // expensive part — are computed in parallel, each worker filling a
+  // disjoint slice of the response array and summing its own probe count.
   Status EnsureLevel(int h) {
     MRCC_DCHECK_GE(h, 2);
     MRCC_DCHECK_LT(static_cast<size_t>(h), levels_.size());
@@ -120,20 +123,25 @@ class BetaClusterFinder {
     const LevelIndex& index = EnsureIndex(h);
     const size_t cells = view.num_cells();
     level.conv.assign(cells, 0);
+    std::atomic<uint64_t> probes{0};
     pool_.ParallelFor(cells, [&](int, size_t begin, size_t end) {
+      uint64_t slice_probes = 0;
       if (options_.full_mask) {
         FullLaplacianConvolveRange(view, index, static_cast<uint32_t>(begin),
                                    static_cast<uint32_t>(end),
-                                   level.conv.data());
+                                   level.conv.data(), &slice_probes);
       } else {
         FaceLaplacianConvolveRange(view, index, static_cast<uint32_t>(begin),
                                    static_cast<uint32_t>(end),
-                                   level.conv.data());
+                                   level.conv.data(), &slice_probes);
       }
+      probes.fetch_add(slice_probes, std::memory_order_relaxed);
     });
     stats_.cells_convolved += cells;
-    MetricsRegistry::Global().counter("beta.cells_convolved").Add(
-        static_cast<int64_t>(cells));
+    stats_.index_probes += probes;
+    MetricsRegistry& metrics = MetricsRegistry::Global();
+    metrics.counter("beta.cells_convolved").Add(static_cast<int64_t>(cells));
+    metrics.counter("beta.index_probes").Add(static_cast<int64_t>(probes));
     level.ready = true;
     return Status::OK();
   }
@@ -159,6 +167,7 @@ class BetaClusterFinder {
         level.conv.size(), [&](int t, size_t begin, size_t end) {
           int64_t best = -1;
           int64_t best_val = std::numeric_limits<int64_t>::min();
+          std::vector<uint64_t> coords(d_);
           // Block-skip: a vector max over each block rules it out wholesale
           // when nothing in it can beat the running best. Only valid once
           // a candidate is held (best >= 0) — before that, the serial scan
@@ -174,9 +183,8 @@ class BetaClusterFinder {
             for (size_t i = b; i < b_end; ++i) {
               if (used[i]) continue;
               if (conv[i] <= best_val && best >= 0) continue;
-              const uint64_t* coords =
-                  index.CellCoords(static_cast<uint32_t>(i));
-              if (SharesSpaceWithAny(coords, width, betas)) continue;
+              index.CoordsInto(static_cast<uint32_t>(i), coords.data());
+              if (SharesSpaceWithAny(coords.data(), width, betas)) continue;
               best = static_cast<int64_t>(i);
               best_val = conv[i];
             }
@@ -224,8 +232,9 @@ class BetaClusterFinder {
     MRCC_TRACE_SPAN_N("beta.test", h);
     ++stats_.candidates_tested;
     stats_.binomial_tests += d_;
-    const uint64_t* coords = levels_[static_cast<size_t>(h)]
-                                 .index->CellCoords(center);
+    const LevelIndex& index = *levels_[static_cast<size_t>(h)].index;
+    std::vector<uint64_t> coords(d_);
+    index.CoordsInto(center, coords.data());
     // Parent cell a_{h-1} and its per-axis face neighbors at level h-1.
     const LevelIndex& parent_index = EnsureIndex(h - 1);
     const uint32_t* parent_counts = tree_.Level(h - 1).counts().data();
@@ -247,9 +256,9 @@ class BetaClusterFinder {
       // (the paper's internal + external neighbors); together they form six
       // consecutive half-cell regions along e_j.
       const int64_t below =
-          parent_index.FindFaceNeighbor(parent_coords.data(), j, -1);
+          parent_index.FaceNeighborOf(parent_ref.index, j, -1);
       const int64_t above =
-          parent_index.FindFaceNeighbor(parent_coords.data(), j, +1);
+          parent_index.FaceNeighborOf(parent_ref.index, j, +1);
       np[j] = static_cast<int64_t>(parent_n) +
               (below >= 0 ? parent_counts[below] : 0) +
               (above >= 0 ? parent_counts[above] : 0);
@@ -307,7 +316,6 @@ class BetaClusterFinder {
     out->upper.assign(d_, 1.0);
     out->level = h;
 
-    const LevelIndex& index = *levels_[static_cast<size_t>(h)].index;
     const uint32_t* counts = tree_.Level(h).counts().data();
     out->center_count = counts[center];
     // Growth floor: the paper grows toward any neighbor "containing at
@@ -318,16 +326,15 @@ class BetaClusterFinder {
     const uint32_t growth_floor = std::max<uint32_t>(
         1, static_cast<uint32_t>(out->center_count / 20));
 
-    std::vector<uint64_t> self(coords, coords + d_);
     const double width = std::ldexp(1.0, -h);
     for (size_t j = 0; j < d_; ++j) {
       if (relevance[j] < threshold) continue;  // Irrelevant: spans [0,1].
       out->relevant[j] = true;
-      double lo = static_cast<double>(self[j]) * width;
+      double lo = static_cast<double>(coords[j]) * width;
       double hi = lo + width;
-      const int64_t below = index.FindFaceNeighbor(self.data(), j, -1);
+      const int64_t below = index.FaceNeighborOf(center, j, -1);
       if (below >= 0 && counts[below] >= growth_floor) lo -= width;
-      const int64_t above = index.FindFaceNeighbor(self.data(), j, +1);
+      const int64_t above = index.FaceNeighborOf(center, j, +1);
       if (above >= 0 && counts[above] >= growth_floor) hi += width;
       out->lower[j] = std::max(0.0, lo);
       out->upper[j] = std::min(1.0, hi);

@@ -18,7 +18,8 @@ size_t Pow3(size_t d) {
 
 void FaceLaplacianConvolveRange(const CountingTree::LevelView& view,
                                 const LevelIndex& index, uint32_t begin,
-                                uint32_t end, int64_t* out) {
+                                uint32_t end, int64_t* out,
+                                uint64_t* probes) {
   const size_t d = view.num_dims();
   MRCC_DCHECK_EQ(index.level(), view.level());
   MRCC_DCHECK_LE(end, view.num_cells());
@@ -28,18 +29,22 @@ void FaceLaplacianConvolveRange(const CountingTree::LevelView& view,
   // pass, then subtract the face neighbors cell by cell.
   simd::ScaleU32ToI64(out + begin, counts + begin, end - begin,
                       2 * static_cast<int64_t>(d));
-  std::vector<uint64_t> coords(d);
+  // Table lookups: 2d per cell minus the neighbors off the cube, which
+  // FaceNeighborOf answers without touching the table.
+  uint64_t lookups = 0;
   for (uint32_t i = begin; i < end; ++i) {
-    view.CoordsInto(i, coords.data());
     int64_t neighbor_sum = 0;
     for (size_t j = 0; j < d; ++j) {
-      const int64_t lower = index.FindFaceNeighbor(coords.data(), j, -1);
+      const int64_t lower = index.FaceNeighborOf(i, j, -1);
       if (lower >= 0) neighbor_sum += counts[lower];
-      const int64_t upper = index.FindFaceNeighbor(coords.data(), j, +1);
+      lookups += lower != LevelIndex::kOffCube;
+      const int64_t upper = index.FaceNeighborOf(i, j, +1);
       if (upper >= 0) neighbor_sum += counts[upper];
+      lookups += upper != LevelIndex::kOffCube;
     }
     out[i] -= neighbor_sum;
   }
+  if (probes != nullptr) *probes += lookups;
 }
 
 int64_t FaceLaplacianConvolve(const CountingTree& tree, int level,
@@ -59,7 +64,8 @@ int64_t FaceLaplacianConvolve(const CountingTree& tree, int level,
 
 void FullLaplacianConvolveRange(const CountingTree::LevelView& view,
                                 const LevelIndex& index, uint32_t begin,
-                                uint32_t end, int64_t* out) {
+                                uint32_t end, int64_t* out,
+                                uint64_t* probes) {
   const size_t d = view.num_dims();
   MRCC_DCHECK_LE(d, kMaxFullMaskDims);
   MRCC_DCHECK_EQ(index.level(), view.level());
@@ -71,8 +77,9 @@ void FullLaplacianConvolveRange(const CountingTree::LevelView& view,
   const int64_t center_weight = static_cast<int64_t>(cells) - 1;
   std::vector<uint64_t> coords(d);
   std::vector<uint64_t> probe(d);
+  uint64_t lookups = 0;
   for (uint32_t i = begin; i < end; ++i) {
-    view.CoordsInto(i, coords.data());
+    index.CoordsInto(i, coords.data());
     int64_t neighbor_sum = 0;
     // Odometer over {-1,0,1}^d offsets.
     for (size_t code = 0; code < cells; ++code) {
@@ -89,11 +96,13 @@ void FullLaplacianConvolveRange(const CountingTree::LevelView& view,
             coords[j] + static_cast<uint64_t>(static_cast<int64_t>(off));
       }
       if (is_center || !in_bounds) continue;
+      ++lookups;
       const int64_t found = index.Find(probe.data());
       if (found >= 0) neighbor_sum += counts[found];
     }
     out[i] = center_weight * counts[i] - neighbor_sum;
   }
+  if (probes != nullptr) *probes += lookups;
 }
 
 int64_t FullLaplacianConvolve(const CountingTree& tree, int level,

@@ -10,9 +10,10 @@
 //   - The *Range functions are the production path: they convolve a
 //     contiguous run of one level's packed arena, seeding all center
 //     terms with one SIMD streaming pass (simd::ScaleU32ToI64) and
-//     resolving neighbors through a LevelIndex in O(d) per probe instead
-//     of an O(level * d) root descent. The β-search calls these from its
-//     parallel sweep.
+//     resolving each face neighbor through a LevelIndex probe that is
+//     O(1) to form (packed key ± one field, additive hash ± R_j) instead
+//     of an O(level * d) root descent — O(d) per convolved cell, as the
+//     paper prices it. The β-search calls these from its parallel sweep.
 //   - The single-cell functions convolve one cell through the tree's
 //     FindCell walk — convenient for tests, reference checks and
 //     benchmarks; results are identical.
@@ -32,10 +33,13 @@
 namespace mrcc {
 
 /// Face-only Laplacian responses of cells [begin, end) of `view`, written
-/// to out[begin..end). `index` must be built over the same level.
+/// to out[begin..end). `index` must be built over the same level. When
+/// `probes` is set, the number of index table lookups issued (at most 2d
+/// per cell; neighbors off the cube need none) is added to it.
 void FaceLaplacianConvolveRange(const CountingTree::LevelView& view,
                                 const LevelIndex& index, uint32_t begin,
-                                uint32_t end, int64_t* out);
+                                uint32_t end, int64_t* out,
+                                uint64_t* probes = nullptr);
 
 /// Face-only Laplacian response of the cell at `coords` on `level`:
 ///   2d * n  -  sum over axes of (lower face neighbor count
@@ -51,10 +55,13 @@ int64_t FaceLaplacianConvolve(const CountingTree& tree, int level,
 inline constexpr size_t kMaxFullMaskDims = 12;
 
 /// Full order-3 Laplacian responses of cells [begin, end) of `view` (the
-/// ablation path). Requires num_dims <= kMaxFullMaskDims.
+/// ablation path). Requires num_dims <= kMaxFullMaskDims. When `probes`
+/// is set, the number of index table lookups issued (one per in-cube
+/// neighbor) is added to it.
 void FullLaplacianConvolveRange(const CountingTree::LevelView& view,
                                 const LevelIndex& index, uint32_t begin,
-                                uint32_t end, int64_t* out);
+                                uint32_t end, int64_t* out,
+                                uint64_t* probes = nullptr);
 
 /// Full order-3 Laplacian response: (3^d - 1) * n - sum of all 3^d - 1
 /// neighbor counts (faces and corners). Requires d <= kMaxFullMaskDims.

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <string>
 
+#include "test_util.h"
+
 namespace mrcc {
 namespace {
 
@@ -120,7 +122,7 @@ TEST(BenchRecordTest, IgnoresUnknownKeysForForwardCompatibility) {
 TEST(BenchRecordTest, SaveLoadRoundTrip) {
   const BenchRecord record = MakeRecord();
   const std::string path =
-      ::testing::TempDir() + "/bench_record_test_roundtrip.json";
+      testing::UniqueTempDir() + "bench_record_test_roundtrip.json";
   ASSERT_TRUE(record.Save(path).ok());
   const Result<BenchRecord> loaded = BenchRecord::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

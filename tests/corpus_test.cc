@@ -22,6 +22,7 @@
 #include "data/dataset_io.h"
 #include "data/dataset_reader.h"
 #include "eval/bench_record.h"
+#include "test_util.h"
 
 #ifndef MRCC_CORPUS_DIR
 #error "tests/CMakeLists.txt must define MRCC_CORPUS_DIR"
@@ -144,7 +145,7 @@ const std::vector<std::string>& BenchRecordSeedNames() {
 }
 
 TEST(CorpusDatasetTest, SeedsParseAsDocumented) {
-  const std::string tmp = ::testing::TempDir() + "corpus_seed.bin";
+  const std::string tmp = testing::UniqueTempDir() + "corpus_seed.bin";
   // The two well-formed seeds load; every malformed one fails cleanly.
   std::vector<int> labels;
   Result<Dataset> valid =
@@ -173,7 +174,7 @@ TEST(CorpusDatasetTest, SeedsParseAsDocumented) {
 TEST(CorpusDatasetTest, TenThousandMutationsNeverCrashTheReaders) {
   const std::vector<std::string> seeds =
       LoadSeeds("dataset", DatasetSeedNames());
-  const std::string tmp = ::testing::TempDir() + "corpus_mutated.bin";
+  const std::string tmp = testing::UniqueTempDir() + "corpus_mutated.bin";
   Rng rng(20260806);
   for (int i = 0; i < 10000; ++i) {
     SCOPED_TRACE("mutation iteration " + std::to_string(i));
@@ -236,8 +237,8 @@ TEST(CorpusRoundTripTest, MutatedDataThatLoadsAlsoRoundTrips) {
   // loads again with identical geometry.
   const std::vector<std::string> seeds =
       LoadSeeds("dataset", DatasetSeedNames());
-  const std::string tmp = ::testing::TempDir() + "corpus_rt.bin";
-  const std::string tmp2 = ::testing::TempDir() + "corpus_rt2.bin";
+  const std::string tmp = testing::UniqueTempDir() + "corpus_rt.bin";
+  const std::string tmp2 = testing::UniqueTempDir() + "corpus_rt2.bin";
   Rng rng(424242);
   for (int i = 0; i < 2000; ++i) {
     const std::string mutated =

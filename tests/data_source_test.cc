@@ -69,7 +69,7 @@ TEST(MemoryDataSourceTest, EmptyRangeAndBadRange) {
 
 TEST(BinaryFileDataSourceTest, MatchesMemorySource) {
   Dataset d = testing::UniformDataset(300, 6, 14);
-  const std::string path = ::testing::TempDir() + "mrcc_source_eq.bin";
+  const std::string path = testing::UniqueTempDir() + "mrcc_source_eq.bin";
   ASSERT_TRUE(SaveBinary(d, path).ok());
 
   Result<BinaryFileDataSource> file = BinaryFileDataSource::Open(path);
@@ -95,7 +95,7 @@ TEST(BinaryFileDataSourceTest, MatchesMemorySource) {
 
 TEST(BinaryFileDataSourceTest, ConcurrentCursorsSeeTheirOwnSlices) {
   Dataset d = testing::UniformDataset(1000, 3, 15);
-  const std::string path = ::testing::TempDir() + "mrcc_source_mt.bin";
+  const std::string path = testing::UniqueTempDir() + "mrcc_source_mt.bin";
   ASSERT_TRUE(SaveBinary(d, path).ok());
   Result<BinaryFileDataSource> file = BinaryFileDataSource::Open(path);
   ASSERT_TRUE(file.ok());
@@ -131,7 +131,7 @@ TEST(BinaryFileDataSourceTest, TruncatedFileFailsWithTheByteOffset) {
   // Regression: a partially-written dataset used to scan as zeros past
   // the cut. Now Open rejects it, naming where the data ran out.
   Dataset d = testing::UniformDataset(200, 4, 18);
-  const std::string path = ::testing::TempDir() + "mrcc_truncated.bin";
+  const std::string path = testing::UniqueTempDir() + "mrcc_truncated.bin";
   ASSERT_TRUE(SaveBinary(d, path).ok());
   // Cut the file mid-way through the point payload.
   const uint64_t cut = 24 + 100 * 4 * sizeof(double) + 3;
@@ -151,7 +151,7 @@ TEST(BinaryFileDataSourceTest, TruncatedFileFailsWithTheByteOffset) {
 
 TEST(BinaryFileDataSourceTest, HeaderOnlyTruncationFailsOnOpen) {
   Dataset d = testing::UniformDataset(50, 2, 19);
-  const std::string path = ::testing::TempDir() + "mrcc_header_cut.bin";
+  const std::string path = testing::UniqueTempDir() + "mrcc_header_cut.bin";
   ASSERT_TRUE(SaveBinary(d, path).ok());
   ASSERT_EQ(truncate(path.c_str(), 10), 0);  // Inside the header.
   const Result<BinaryFileDataSource> source = BinaryFileDataSource::Open(path);
@@ -164,7 +164,7 @@ TEST(BinaryFileDataSourceTest, TransientReadErrorIsRetriedToSuccess) {
   // One injected EAGAIN on the first read: the retry loop in common/fs
   // absorbs it and the scan returns data identical to the clean scan.
   Dataset d = testing::UniformDataset(120, 3, 20);
-  const std::string path = ::testing::TempDir() + "mrcc_transient.bin";
+  const std::string path = testing::UniqueTempDir() + "mrcc_transient.bin";
   ASSERT_TRUE(SaveBinary(d, path).ok());
   Result<BinaryFileDataSource> file = BinaryFileDataSource::Open(path);
   ASSERT_TRUE(file.ok());
@@ -185,7 +185,7 @@ TEST(BinaryFileDataSourceTest, TransientReadErrorIsRetriedToSuccess) {
 
 TEST(BinaryFileDataSourceTest, ExhaustedRetriesSurfaceAsIOError) {
   Dataset d = testing::UniformDataset(60, 3, 22);
-  const std::string path = ::testing::TempDir() + "mrcc_exhausted.bin";
+  const std::string path = testing::UniqueTempDir() + "mrcc_exhausted.bin";
   ASSERT_TRUE(SaveBinary(d, path).ok());
   Result<BinaryFileDataSource> file = BinaryFileDataSource::Open(path);
   ASSERT_TRUE(file.ok());
@@ -231,7 +231,7 @@ std::vector<double> DrainChunks(const DataSource& source, size_t begin,
 
 TEST(ScanChunksTest, EveryBackendDeliversIdenticalChunkStreams) {
   Dataset d = testing::UniformDataset(257, 5, 23);
-  const std::string path = ::testing::TempDir() + "mrcc_chunks.bin";
+  const std::string path = testing::UniqueTempDir() + "mrcc_chunks.bin";
   ASSERT_TRUE(SaveBinary(d, path).ok());
 
   MemoryDataSource memory(d);
@@ -301,7 +301,7 @@ TEST(ScanChunksTest, ArgumentsAreValidated) {
 
 TEST(ScanChunksTest, ChunkReadFaultSurfacesFromEveryBackend) {
   Dataset d = testing::UniformDataset(30, 3, 26);
-  const std::string path = ::testing::TempDir() + "mrcc_chunk_fault.bin";
+  const std::string path = testing::UniqueTempDir() + "mrcc_chunk_fault.bin";
   ASSERT_TRUE(SaveBinary(d, path).ok());
   Result<MmapFileDataSource> mapped = MmapFileDataSource::Open(path);
   ASSERT_TRUE(mapped.ok());
@@ -320,7 +320,7 @@ TEST(ScanChunksTest, ChunkReadFaultSurfacesFromEveryBackend) {
 
 TEST(MmapFileDataSourceTest, CursorScanMatchesMemory) {
   Dataset d = testing::UniformDataset(128, 4, 27);
-  const std::string path = ::testing::TempDir() + "mrcc_mmap_scan.bin";
+  const std::string path = testing::UniqueTempDir() + "mrcc_mmap_scan.bin";
   ASSERT_TRUE(SaveBinary(d, path).ok());
   Result<MmapFileDataSource> mapped = MmapFileDataSource::Open(path);
   ASSERT_TRUE(mapped.ok());
@@ -339,7 +339,7 @@ TEST(MmapFileDataSourceTest, CursorScanMatchesMemory) {
 
 TEST(MmapFileDataSourceTest, FallbackServesTheSameBytes) {
   Dataset d = testing::UniformDataset(90, 3, 28);
-  const std::string path = ::testing::TempDir() + "mrcc_mmap_fb.bin";
+  const std::string path = testing::UniqueTempDir() + "mrcc_mmap_fb.bin";
   ASSERT_TRUE(SaveBinary(d, path).ok());
 
   Result<MmapFileDataSource> mapped = MmapFileDataSource::Open(path);
@@ -363,7 +363,7 @@ TEST(MmapFileDataSourceTest, FallbackServesTheSameBytes) {
 
 TEST(DatasetReaderSeekTest, SeekToJumpsToPoint) {
   Dataset d = testing::UniformDataset(64, 5, 16);
-  const std::string path = ::testing::TempDir() + "mrcc_seek.bin";
+  const std::string path = testing::UniqueTempDir() + "mrcc_seek.bin";
   ASSERT_TRUE(SaveBinary(d, path).ok());
   Result<BinaryDatasetReader> reader = BinaryDatasetReader::Open(path);
   ASSERT_TRUE(reader.ok());

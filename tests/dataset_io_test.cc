@@ -14,7 +14,7 @@ namespace {
 class DatasetIoTest : public ::testing::Test {
  protected:
   std::string Path(const std::string& name) {
-    return ::testing::TempDir() + "mrcc_io_" + name;
+    return testing::UniqueTempDir() + "mrcc_io_" + name;
   }
 };
 

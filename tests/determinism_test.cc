@@ -84,7 +84,7 @@ TEST(DeterminismTest, HardwareConcurrencyMatchesSerial) {
 
 TEST(DeterminismTest, FileSourceMatchesMemorySourceAtEveryThreadCount) {
   const LabeledDataset dataset = testing::SmallClustered(5000, 6, 2, 13);
-  const std::string path = ::testing::TempDir() + "mrcc_determinism.bin";
+  const std::string path = testing::UniqueTempDir() + "mrcc_determinism.bin";
   ASSERT_TRUE(SaveBinary(dataset.data, path).ok());
   Result<BinaryFileDataSource> file = BinaryFileDataSource::Open(path);
   ASSERT_TRUE(file.ok()) << file.status().ToString();
@@ -107,7 +107,8 @@ TEST(DeterminismTest, FileSourceMatchesMemorySourceAtEveryThreadCount) {
 
 TEST(DeterminismTest, ThreadedRunMatchesSerialFileRun) {
   const LabeledDataset dataset = testing::SmallClustered(4000, 8, 3, 7);
-  const std::string path = ::testing::TempDir() + "mrcc_determinism_file.bin";
+  const std::string path =
+      testing::UniqueTempDir() + "mrcc_determinism_file.bin";
   ASSERT_TRUE(SaveBinary(dataset.data, path).ok());
 
   MrCCParams params;

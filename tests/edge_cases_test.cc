@@ -15,7 +15,7 @@ namespace mrcc {
 namespace {
 
 TEST(EdgeCaseTest, CsvParsesNegativeAndScientificValues) {
-  const std::string path = ::testing::TempDir() + "mrcc_sci.csv";
+  const std::string path = testing::UniqueTempDir() + "mrcc_sci.csv";
   {
     std::ofstream out(path);
     out << "-1.5,2.5e-3\n1e2,-0.25\n";
@@ -32,7 +32,7 @@ TEST(EdgeCaseTest, CsvParsesNegativeAndScientificValues) {
 }
 
 TEST(EdgeCaseTest, CsvSkipsBlankLines) {
-  const std::string path = ::testing::TempDir() + "mrcc_blank.csv";
+  const std::string path = testing::UniqueTempDir() + "mrcc_blank.csv";
   {
     std::ofstream out(path);
     out << "0.1,0.2\n\n0.3,0.4\n\n";

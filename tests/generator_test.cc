@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <tuple>
 
 namespace mrcc {
@@ -136,40 +137,55 @@ TEST(GeneratorTest, RotationKeepsCubeAndLabels) {
   EXPECT_TRUE(any_diff);
 }
 
-// Invalid-config sweep.
-class GeneratorValidationTest
-    : public ::testing::TestWithParam<SyntheticConfig> {};
+// Invalid-config sweep. Each case prints as its name, which is what ctest
+// discovery puts in the test name; a SyntheticConfig would print as raw
+// bytes that include addresses, so the names would change from build to
+// build.
+struct InvalidCase {
+  const char* name;
+  SyntheticConfig config;
+};
+
+void PrintTo(const InvalidCase& c, std::ostream* os) { *os << c.name; }
+
+class GeneratorValidationTest : public ::testing::TestWithParam<InvalidCase> {};
 
 TEST_P(GeneratorValidationTest, RejectsInvalidConfig) {
-  Result<LabeledDataset> r = GenerateSynthetic(GetParam());
+  Result<LabeledDataset> r = GenerateSynthetic(GetParam().config);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
-SyntheticConfig Invalid(void (*mutate)(SyntheticConfig&)) {
+InvalidCase Invalid(const char* name, void (*mutate)(SyntheticConfig&)) {
   SyntheticConfig c = BaseConfig();
   mutate(c);
-  return c;
+  return {name, c};
 }
 
 INSTANTIATE_TEST_SUITE_P(
     BadConfigs, GeneratorValidationTest,
     ::testing::Values(
-        Invalid([](SyntheticConfig& c) { c.num_dims = 0; }),
-        Invalid([](SyntheticConfig& c) { c.num_points = 0; }),
-        Invalid([](SyntheticConfig& c) { c.noise_fraction = 1.0; }),
-        Invalid([](SyntheticConfig& c) { c.noise_fraction = -0.1; }),
-        Invalid([](SyntheticConfig& c) { c.min_cluster_dims = 0; }),
-        Invalid([](SyntheticConfig& c) {
-          c.min_cluster_dims = 5;
-          c.max_cluster_dims = 3;
-        }),
-        Invalid([](SyntheticConfig& c) { c.min_stddev = 0.0; }),
-        Invalid([](SyntheticConfig& c) { c.max_stddev = 0.2; }),
-        Invalid([](SyntheticConfig& c) { c.cluster_weights = {1.0}; }),
-        Invalid([](SyntheticConfig& c) {
-          c.cluster_weights = {1.0, 1.0, 1.0, -1.0};
-        })));
+        Invalid("ZeroDims", [](SyntheticConfig& c) { c.num_dims = 0; }),
+        Invalid("ZeroPoints", [](SyntheticConfig& c) { c.num_points = 0; }),
+        Invalid("AllNoise", [](SyntheticConfig& c) { c.noise_fraction = 1.0; }),
+        Invalid("NegativeNoise",
+                [](SyntheticConfig& c) { c.noise_fraction = -0.1; }),
+        Invalid("ZeroMinClusterDims",
+                [](SyntheticConfig& c) { c.min_cluster_dims = 0; }),
+        Invalid("MinAboveMaxClusterDims",
+                [](SyntheticConfig& c) {
+                  c.min_cluster_dims = 5;
+                  c.max_cluster_dims = 3;
+                }),
+        Invalid("ZeroMinStddev", [](SyntheticConfig& c) { c.min_stddev = 0.0; }),
+        Invalid("MaxStddevTooLarge",
+                [](SyntheticConfig& c) { c.max_stddev = 0.2; }),
+        Invalid("TooFewWeights",
+                [](SyntheticConfig& c) { c.cluster_weights = {1.0}; }),
+        Invalid("NegativeWeight",
+                [](SyntheticConfig& c) {
+                  c.cluster_weights = {1.0, 1.0, 1.0, -1.0};
+                })));
 
 TEST(Kdd08LikeTest, ShapeAndImbalance) {
   Kdd08LikeConfig c;

@@ -30,6 +30,7 @@
 #include "data/dataset_io.h"
 #include "data/generator.h"
 #include "dist/sharded_build.h"
+#include "test_util.h"
 
 namespace mrcc {
 namespace {
@@ -130,8 +131,8 @@ TEST(GoldenRegressionTest, ResultsAndTreeBytesMatchPreRefactorRuns) {
 
     Result<CountingTree> tree = CountingTree::Build(ds.data, c.resolutions);
     ASSERT_TRUE(tree.ok());
-    const std::string path =
-        ::testing::TempDir() + "mrcc_golden_" + std::to_string(c.seed) + ".bin";
+    const std::string path = testing::UniqueTempDir() + "mrcc_golden_" +
+                             std::to_string(c.seed) + ".bin";
     EXPECT_EQ(HashTreeBytes(*tree, path), c.tree_hash);
   }
 }
@@ -144,7 +145,7 @@ TEST(GoldenRegressionTest, OutOfCoreBuildsMatchThePinnedHashes) {
     SCOPED_TRACE("n=" + std::to_string(c.n) + " d=" + std::to_string(c.d) +
                  " seed=" + std::to_string(c.seed));
     LabeledDataset ds = Clustered(c.n, c.d, c.k, c.seed);
-    const std::string bin_path = ::testing::TempDir() + "mrcc_golden_src_" +
+    const std::string bin_path = testing::UniqueTempDir() + "mrcc_golden_src_" +
                                  std::to_string(c.seed) + ".bin";
     ASSERT_TRUE(SaveBinary(ds.data, bin_path).ok());
 
@@ -182,7 +183,7 @@ TEST(GoldenRegressionTest, ReadAheadDepthsMatchThePinnedHashes) {
     SCOPED_TRACE("n=" + std::to_string(c.n) + " d=" + std::to_string(c.d) +
                  " seed=" + std::to_string(c.seed));
     LabeledDataset ds = Clustered(c.n, c.d, c.k, c.seed);
-    const std::string bin_path = ::testing::TempDir() + "mrcc_golden_ra_" +
+    const std::string bin_path = testing::UniqueTempDir() + "mrcc_golden_ra_" +
                                  std::to_string(c.seed) + ".bin";
     ASSERT_TRUE(SaveBinary(ds.data, bin_path).ok());
 
@@ -229,7 +230,7 @@ TEST(GoldenRegressionTest, ShardedBuildsMatchThePinnedHashes) {
     SCOPED_TRACE("n=" + std::to_string(c.n) + " d=" + std::to_string(c.d) +
                  " seed=" + std::to_string(c.seed));
     LabeledDataset ds = Clustered(c.n, c.d, c.k, c.seed);
-    const std::string dir = ::testing::TempDir() + "mrcc_golden_sharded_" +
+    const std::string dir = testing::UniqueTempDir() + "mrcc_golden_sharded_" +
                             std::to_string(c.seed);
     (void)std::system(("rm -rf " + dir + " && mkdir -p " + dir).c_str());
     const std::string bin_path = dir + "/points.bin";

@@ -105,7 +105,7 @@ TEST(IntegrationTest, Kdd08LikePipelineRuns) {
 // Dataset round trip through the binary format preserves MrCC's output.
 TEST(IntegrationTest, PersistedDatasetGivesIdenticalClustering) {
   LabeledDataset ds = testing::SmallClustered(3000, 8, 3, 999);
-  const std::string path = ::testing::TempDir() + "mrcc_integration.bin";
+  const std::string path = testing::UniqueTempDir() + "mrcc_integration.bin";
   ASSERT_TRUE(SaveBinary(ds.data, path, &ds.truth.labels).ok());
   std::vector<int> labels;
   Result<Dataset> loaded = LoadBinary(path, &labels);

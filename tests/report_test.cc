@@ -81,7 +81,7 @@ TEST(ReportTest, PanelCountHonorsLimit) {
 
 TEST(ReportTest, WritesFile) {
   Fixture f = MakeFixture();
-  const std::string path = ::testing::TempDir() + "mrcc_report.html";
+  const std::string path = testing::UniqueTempDir() + "mrcc_report.html";
   ASSERT_TRUE(WriteRunReport(f.dataset.data, f.result, "file test", path).ok());
   std::ifstream in(path);
   ASSERT_TRUE(in.good());

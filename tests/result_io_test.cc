@@ -51,7 +51,7 @@ TEST(ResultIoTest, MrCCResultJsonIncludesBoxesAndStats) {
 }
 
 TEST(ResultIoTest, JsonFileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "mrcc_result.json";
+  const std::string path = testing::UniqueTempDir() + "mrcc_result.json";
   ASSERT_TRUE(WriteJsonFile("{\"x\":1}", path).ok());
   std::ifstream in(path);
   std::string contents((std::istreambuf_iterator<char>(in)),
@@ -62,7 +62,7 @@ TEST(ResultIoTest, JsonFileRoundTrip) {
 
 TEST(ResultIoTest, LabelRoundTrip) {
   const std::vector<int> labels{0, 5, kNoiseLabel, 2, kNoiseLabel};
-  const std::string path = ::testing::TempDir() + "mrcc_labels.txt";
+  const std::string path = testing::UniqueTempDir() + "mrcc_labels.txt";
   ASSERT_TRUE(SaveLabels(labels, path).ok());
   Result<std::vector<int>> loaded = LoadLabels(path);
   ASSERT_TRUE(loaded.ok());
@@ -71,7 +71,7 @@ TEST(ResultIoTest, LabelRoundTrip) {
 }
 
 TEST(ResultIoTest, LoadLabelsRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "mrcc_badlabels.txt";
+  const std::string path = testing::UniqueTempDir() + "mrcc_badlabels.txt";
   {
     std::ofstream out(path);
     out << "1\nxyz\n2\n";

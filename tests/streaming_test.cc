@@ -14,7 +14,7 @@ namespace mrcc {
 namespace {
 
 std::string TempBinary(const Dataset& data, const char* name) {
-  const std::string path = ::testing::TempDir() + "mrcc_stream_" + name;
+  const std::string path = testing::UniqueTempDir() + "mrcc_stream_" + name;
   EXPECT_TRUE(SaveBinary(data, path).ok());
   return path;
 }

@@ -2,6 +2,12 @@
 
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -10,6 +16,40 @@
 #include "data/generator.h"
 
 namespace mrcc::testing {
+
+/// A scratch directory private to the running test, as a path ending in
+/// '/': ::testing::TempDir() + "mrcc_<suite>.<test>.<pid>/". ctest -j runs
+/// every case as its own process, so a fixed name under TempDir() lets
+/// sibling cases overwrite (or `rm -rf`) each other's files mid-test;
+/// keying on suite, test name and pid keeps them apart. The directory is
+/// created on first use and removed, with its contents, when the process
+/// that created it exits.
+inline std::string UniqueTempDir() {
+  struct Registry {
+    pid_t owner = ::getpid();
+    std::set<std::string> dirs;
+    ~Registry() {
+      if (::getpid() != owner) return;  // A forked child must not clean up.
+      std::error_code ec;
+      for (const std::string& dir : dirs) std::filesystem::remove_all(dir, ec);
+    }
+  };
+  static Registry registry;
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string key = info == nullptr ? std::string("global")
+                                    : std::string(info->test_suite_name()) +
+                                          "." + info->name();
+  for (char& c : key) {
+    if (c == '/') c = '_';  // Parameterized names contain '/'.
+  }
+  const std::string dir = ::testing::TempDir() + "mrcc_" + key + "." +
+                          std::to_string(::getpid()) + "/";
+  if (registry.dirs.insert(dir).second) {
+    std::filesystem::create_directories(dir);
+  }
+  return dir;
+}
 
 /// A dataset from an explicit list of points (row-major initializer).
 inline Dataset MakeDataset(const std::vector<std::vector<double>>& points) {

@@ -18,7 +18,7 @@ TEST(TreeIoTest, SaveLoadRoundTrip) {
   LabeledDataset ds = testing::SmallClustered(3000, 6, 3, 71);
   Result<CountingTree> tree = CountingTree::Build(ds.data, 5);
   ASSERT_TRUE(tree.ok());
-  const std::string path = ::testing::TempDir() + "mrcc_tree.bin";
+  const std::string path = testing::UniqueTempDir() + "mrcc_tree.bin";
   ASSERT_TRUE(SaveTree(*tree, path).ok());
   Result<CountingTree> loaded = LoadTree(path);
   ASSERT_TRUE(loaded.ok());
@@ -31,7 +31,7 @@ TEST(TreeIoTest, LoadedTreeProducesIdenticalBetaClusters) {
   LabeledDataset ds = testing::SmallClustered(4000, 8, 3, 72);
   Result<CountingTree> tree = CountingTree::Build(ds.data, 4);
   ASSERT_TRUE(tree.ok());
-  const std::string path = ::testing::TempDir() + "mrcc_tree_beta.bin";
+  const std::string path = testing::UniqueTempDir() + "mrcc_tree_beta.bin";
   ASSERT_TRUE(SaveTree(*tree, path).ok());
   Result<CountingTree> loaded = LoadTree(path);
   ASSERT_TRUE(loaded.ok());
@@ -49,7 +49,7 @@ TEST(TreeIoTest, LoadedTreeProducesIdenticalBetaClusters) {
 }
 
 TEST(TreeIoTest, LoadRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "mrcc_tree_bad.bin";
+  const std::string path = testing::UniqueTempDir() + "mrcc_tree_bad.bin";
   {
     std::ofstream out(path, std::ios::binary);
     out << "not a tree at all";
@@ -63,7 +63,7 @@ TEST(TreeIoTest, LoadRejectsTruncation) {
   Dataset d = testing::UniformDataset(500, 4, 3);
   Result<CountingTree> tree = CountingTree::Build(d, 4);
   ASSERT_TRUE(tree.ok());
-  const std::string path = ::testing::TempDir() + "mrcc_tree_trunc.bin";
+  const std::string path = testing::UniqueTempDir() + "mrcc_tree_trunc.bin";
   ASSERT_TRUE(SaveTree(*tree, path).ok());
   {
     std::ifstream in(path, std::ios::binary);
@@ -159,7 +159,7 @@ TEST(TreeIoTest, SaveLeavesNoTempFileBehind) {
   Dataset d = testing::UniformDataset(200, 3, 11);
   Result<CountingTree> tree = CountingTree::Build(d, 4);
   ASSERT_TRUE(tree.ok());
-  const std::string path = ::testing::TempDir() + "mrcc_tree_atomic.bin";
+  const std::string path = testing::UniqueTempDir() + "mrcc_tree_atomic.bin";
   ASSERT_TRUE(SaveTree(*tree, path).ok());
   // The atomic-write temp file must have been renamed away.
   const std::string tmp = path + ".tmp." + std::to_string(::getpid());
@@ -190,7 +190,7 @@ TEST(TreeIoTest, LoadRejectsCorruptHalfCount) {
   Dataset data = testing::UniformDataset(500, d, 5);
   Result<CountingTree> tree = CountingTree::Build(data, 4);
   ASSERT_TRUE(tree.ok());
-  const std::string path = ::testing::TempDir() + "mrcc_tree_half.bin";
+  const std::string path = testing::UniqueTempDir() + "mrcc_tree_half.bin";
   ASSERT_TRUE(SaveTree(*tree, path).ok());
   // First half count of the first cell of the first node: a value above
   // the cell's point count is structurally impossible.
@@ -215,7 +215,7 @@ TEST(TreeIoTest, LoadRejectsImplausibleCellCount) {
   Dataset data = testing::UniformDataset(500, d, 6);
   Result<CountingTree> tree = CountingTree::Build(data, 4);
   ASSERT_TRUE(tree.ok());
-  const std::string path = ::testing::TempDir() + "mrcc_tree_cells.bin";
+  const std::string path = testing::UniqueTempDir() + "mrcc_tree_cells.bin";
   ASSERT_TRUE(SaveTree(*tree, path).ok());
   // Cell count of the first node: a value far beyond what the file could
   // hold must fail cleanly instead of driving a multi-gigabyte resize.
@@ -235,7 +235,7 @@ TEST(TreeIoTest, LoadRejectsImplausibleNodeCount) {
   Dataset data = testing::UniformDataset(200, 3, 7);
   Result<CountingTree> tree = CountingTree::Build(data, 4);
   ASSERT_TRUE(tree.ok());
-  const std::string path = ::testing::TempDir() + "mrcc_tree_nodes.bin";
+  const std::string path = testing::UniqueTempDir() + "mrcc_tree_nodes.bin";
   ASSERT_TRUE(SaveTree(*tree, path).ok());
   const size_t offset = 24;  // node_count field of the header.
   PatchFile(path, [&](std::string* c) {
