@@ -22,8 +22,8 @@
 //                       another bench sharing the config) loads the
 //                       cached file instead of regenerating.
 //   MRCC_BENCH_SOURCE   data backend axis where a bench supports it
-//                       (bench_scale_points): memory | chunked | mmap;
-//                       unset = sweep all three.
+//                       (bench_scale_points): memory | chunked;
+//                       unset = sweep both.
 //   MRCC_BENCH_READ_AHEAD
 //                       read-ahead depths (comma-separated) to sweep on
 //                       the backend-comparison axis; unset = "0,2"
@@ -181,7 +181,7 @@ inline BenchOptions ParseOptions(int argc, char** argv) {
                    "unknown flag %s\nusage: %s [--json_out=PATH] "
                    "[--trace_out=PATH] [--scale=X] [--budget=S] "
                    "[--methods=A,B] [--csv_dir=DIR] [--data_dir=DIR] "
-                   "[--source=memory|chunked|mmap] [--read_ahead=D0,D1]\n",
+                   "[--source=memory|chunked] [--read_ahead=D0,D1]\n",
                    argv[i], argv[0]);
       std::exit(2);
     }

@@ -11,12 +11,12 @@
 // Labels are asserted bit-identical to the serial run at every thread
 // count — the engine's determinism contract.
 //
-// It also compares the data backends (--source=memory|chunked|mmap,
-// default: all three) on the largest dataset: the same MrCC run over the
-// in-memory buffer, bounded-buffer file reads and an mmap'ed file, each
-// swept over the pipelined-scan depths (--read_ahead=D0,D1, default 0,2 =
-// synchronous vs. double buffering) with the page cache dropped before
-// every file-backed run so the axis measures device reads. Labels are
+// It also compares the data backends (--source=memory|chunked, default:
+// both) on the largest dataset: the same MrCC run over the in-memory
+// buffer and over bounded-buffer file reads, each swept over the
+// pipelined-scan depths (--read_ahead=D0,D1, default 0,2 = synchronous
+// vs. double buffering) with the page cache dropped before every
+// file-backed run so the axis measures device reads. Labels are
 // asserted identical across every backend × depth and one BenchEntry per
 // cell — distinguished by BenchEntry::source / BenchEntry::read_ahead —
 // lands in the BenchRecord.
@@ -100,7 +100,7 @@ void RunSourceComparison(const mrcc::bench::BenchOptions& options,
                          mrcc::bench::BenchRecorder* recorder) {
   using namespace mrcc;
 
-  std::vector<std::string> sources = {"memory", "chunked", "mmap"};
+  std::vector<std::string> sources = {"memory", "chunked"};
   if (!options.source.empty()) sources = {options.source};
 
   std::vector<SyntheticConfig> configs = PointsGroupConfigs(options.scale);
@@ -133,26 +133,19 @@ void RunSourceComparison(const mrcc::bench::BenchOptions& options,
       if (source_name == "memory") {
         const MemoryDataSource source(dataset.data);
         r = MrCC(params).Run(source);
-      } else if (source_name == "chunked" || source_name == "mmap") {
+      } else if (source_name == "chunked") {
         // Cold-cache: without this, the second depth's run would read the
         // first one's page cache and the axis would measure nothing.
         if (Status s = DropFileCache(bin_path); !s.ok()) {
           std::fprintf(stderr, "drop cache (best effort): %s\n",
                        s.ToString().c_str());
         }
-        if (source_name == "chunked") {
-          Result<ChunkedBinaryDataSource> source =
-              ChunkedBinaryDataSource::Open(bin_path);
-          r = source.ok() ? MrCC(params).Run(*source)
-                          : Result<MrCCResult>(source.status());
-        } else {
-          Result<MmapFileDataSource> source =
-              MmapFileDataSource::Open(bin_path);
-          r = source.ok() ? MrCC(params).Run(*source)
-                          : Result<MrCCResult>(source.status());
-        }
+        Result<ChunkedBinaryDataSource> source =
+            ChunkedBinaryDataSource::Open(bin_path);
+        r = source.ok() ? MrCC(params).Run(*source)
+                        : Result<MrCCResult>(source.status());
       } else {
-        std::fprintf(stderr, "unknown --source=%s (memory|chunked|mmap)\n",
+        std::fprintf(stderr, "unknown --source=%s (memory|chunked)\n",
                      source_name.c_str());
         std::exit(2);
       }

@@ -2,7 +2,7 @@
 // has to fit in RAM (DESIGN.md §14).
 //
 //   ./examples/out_of_core --generate <file.bin> [points] [dims]
-//   ./examples/out_of_core [--source=memory|chunked|mmap]
+//   ./examples/out_of_core [--source=memory|chunked]
 //                          [--budget-mb=N] [--read-ahead=N] <file.bin>
 //
 // --read-ahead sets the pipelined-scan depth (chunk buffers a background
@@ -18,12 +18,8 @@
 //            bigger than the address-space budget.
 //   chunked  bounded-buffer pread scans: at most one chunk of points is
 //            resident per scan, independent of the file size.
-//   mmap     the kernel pages the file in and out; falls back to the
-//            chunked path when mapping fails (the printout says which
-//            path served the run). Note mmap still consumes *address
-//            space* for the whole file even though it needs little RAM.
 //
-// All three produce bit-identical results (tests/out_of_core_test.cc);
+// Both produce bit-identical results (tests/out_of_core_test.cc);
 // the point of this example is the memory column, not the labels. CI's
 // out-of-core job runs the chunked mode under `ulimit -v` smaller than
 // the input file, where the memory mode provably cannot work.
@@ -79,7 +75,6 @@ int Cluster(const std::string& path, const std::string& source_name,
   params.read_ahead_chunks = read_ahead;
 
   mrcc::Result<mrcc::MrCCResult> result(mrcc::Status::Internal("unset"));
-  std::string mode = source_name;
   if (source_name == "memory") {
     // The whole-file load is the allocation that an address-space cap
     // kills; surface that as a clean failure, not an abort.
@@ -107,18 +102,8 @@ int Cluster(const std::string& path, const std::string& source_name,
       return 1;
     }
     result = mrcc::MrCC(params).Run(*source);
-  } else if (source_name == "mmap") {
-    mrcc::Result<mrcc::MmapFileDataSource> source =
-        mrcc::MmapFileDataSource::Open(path);
-    if (!source.ok()) {
-      std::fprintf(stderr, "open failed: %s\n",
-                   source.status().ToString().c_str());
-      return 1;
-    }
-    if (!source->using_mmap()) mode = "mmap (fell back to chunked reads)";
-    result = mrcc::MrCC(params).Run(*source);
   } else {
-    std::fprintf(stderr, "unknown --source=%s (memory|chunked|mmap)\n",
+    std::fprintf(stderr, "unknown --source=%s (memory|chunked)\n",
                  source_name.c_str());
     return 2;
   }
@@ -129,7 +114,7 @@ int Cluster(const std::string& path, const std::string& source_name,
     return 1;
   }
   const mrcc::MrCCResult& r = *result;
-  std::printf("source: %s\n", mode.c_str());
+  std::printf("source: %s\n", source_name.c_str());
   if (r.stats.chunks_scanned > 0) {
     std::printf("streaming: %llu chunks of up to %zu points "
                 "(<= %zu points resident at once; read-ahead %zu, "
@@ -177,7 +162,7 @@ int main(int argc, char** argv) {
   if (positional.empty()) {
     std::fprintf(stderr,
                  "usage: %s --generate <file.bin> [points] [dims]\n"
-                 "       %s [--source=memory|chunked|mmap] "
+                 "       %s [--source=memory|chunked] "
                  "[--budget-mb=N] [--read-ahead=N] <file.bin>\n",
                  argv[0], argv[0]);
     return 2;

@@ -27,11 +27,7 @@ constexpr SiteInfo kSites[] = {
     {"source.read.transient", StatusCode::kIOError},
     {"source.read.truncate", StatusCode::kIOError},
     {"source.read.corrupt", StatusCode::kInternal},
-    // Streaming seams: mmap failure (boolean — the source falls back to
-    // the pread path, it does not fail) and a chunk that cannot be read
-    // (covers both a failed block pread and an unreadable page of a
-    // memory-mapped file).
-    {"source.mmap", StatusCode::kIOError},
+    // Streaming seam: a chunk that cannot be delivered.
     {"source.chunk.read", StatusCode::kIOError},
     // Allocation seams of the tree pipeline.
     {"tree.build.alloc", StatusCode::kResourceExhausted},

@@ -1,13 +1,11 @@
 #include "common/fs.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <system_error>
 #include <thread>
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -56,53 +54,6 @@ Result<UniqueFd> OpenForRead(const std::string& path) {
     return Status::IOError(ErrnoMessage("cannot open", path, errno));
   }
   return UniqueFd(fd);
-}
-
-MmapRegion::~MmapRegion() {
-  if (addr_ != nullptr) ::munmap(addr_, length_);
-}
-
-MmapRegion::MmapRegion(MmapRegion&& other) noexcept
-    : addr_(other.addr_), length_(other.length_) {
-  other.addr_ = nullptr;
-  other.length_ = 0;
-}
-
-MmapRegion& MmapRegion::operator=(MmapRegion&& other) noexcept {
-  if (this != &other) {
-    if (addr_ != nullptr) ::munmap(addr_, length_);
-    addr_ = other.addr_;
-    length_ = other.length_;
-    other.addr_ = nullptr;
-    other.length_ = 0;
-  }
-  return *this;
-}
-
-Result<MmapRegion> MmapRegion::Map(int fd, size_t length,
-                                   const std::string& path) {
-  if (length == 0) {
-    return Status::InvalidArgument("cannot map empty file " + path);
-  }
-  MRCC_RETURN_IF_ERROR(fp::Maybe("source.mmap"));
-  void* addr = ::mmap(nullptr, length, PROT_READ, MAP_PRIVATE, fd, 0);
-  if (addr == MAP_FAILED) {
-    return Status::IOError(ErrnoMessage("cannot mmap", path, errno));
-  }
-  // Advisory only: a kernel that rejects the hint still serves the pages.
-  (void)::madvise(addr, length, MADV_SEQUENTIAL);
-  return MmapRegion(addr, length);
-}
-
-void MmapRegion::WillNeed(size_t offset, size_t length) const {
-  if (addr_ == nullptr || offset >= length_ || length == 0) return;
-  length = std::min(length, length_ - offset);
-  // madvise wants a page-aligned start; round the offset down (the extra
-  // prefix pages are already resident or about to be).
-  const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-  const size_t aligned = offset & ~(page - 1);
-  (void)::madvise(static_cast<char*>(addr_) + aligned,
-                  length + (offset - aligned), MADV_WILLNEED);
 }
 
 Result<uint64_t> FileSize(int fd, const std::string& path) {

@@ -7,7 +7,7 @@
 // retried with bounded backoff, and truncation reported with the exact
 // byte offset so an operator can locate the damage. These helpers wrap
 // positional POSIX reads (pread) with exactly that contract; pread also
-// removes the shared-file-position hazard, so cursors over one file
+// removes the shared-file-position hazard, so scans over one file
 // descriptor could even share it safely.
 //
 // Fault injection: ReadExactAt honors the `source.read.transient` (fails
@@ -43,50 +43,9 @@ class UniqueFd {
   int fd_ = -1;
 };
 
-/// Opens `path` read-only. NotFound for a missing file, IOError otherwise.
+/// Opens `path` read-only. Any failure, a missing file included, is
+/// IOError.
 [[nodiscard]] Result<UniqueFd> OpenForRead(const std::string& path);
-
-/// Read-only memory mapping of a file prefix (move-only; unmaps on
-/// destruction). The mapping is advised MADV_SEQUENTIAL: the streaming
-/// build touches every page exactly once in order, so aggressive
-/// readahead wins and touched pages can be dropped early.
-///
-/// Fault injection: Map honors the `source.mmap` failpoint (simulates a
-/// kernel refusal — address-space cap, filesystem without mmap support);
-/// callers are expected to fall back to the positional-read path.
-class MmapRegion {
- public:
-  MmapRegion() = default;
-  ~MmapRegion();
-
-  MmapRegion(MmapRegion&& other) noexcept;
-  MmapRegion& operator=(MmapRegion&& other) noexcept;
-  MmapRegion(const MmapRegion&) = delete;
-  MmapRegion& operator=(const MmapRegion&) = delete;
-
-  /// Maps the first `length` bytes of `fd` (must be > 0). The fd may be
-  /// closed after mapping; the mapping stays valid until destruction.
-  [[nodiscard]] static Result<MmapRegion> Map(int fd, size_t length,
-                                              const std::string& path);
-
-  bool valid() const { return addr_ != nullptr; }
-  const unsigned char* data() const {
-    return static_cast<const unsigned char*>(addr_);
-  }
-  size_t size() const { return length_; }
-
-  /// Advises the kernel that [offset, offset + length) will be read soon
-  /// (MADV_WILLNEED), so page-in starts before the first touch. Advisory
-  /// and clamped to the mapping: out-of-range requests shrink to fit and
-  /// a kernel that ignores the hint costs nothing. No-op when !valid().
-  void WillNeed(size_t offset, size_t length) const;
-
- private:
-  MmapRegion(void* addr, size_t length) : addr_(addr), length_(length) {}
-
-  void* addr_ = nullptr;
-  size_t length_ = 0;
-};
 
 /// Size of the open file in bytes.
 [[nodiscard]] Result<uint64_t> FileSize(int fd, const std::string& path);

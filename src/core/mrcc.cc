@@ -125,10 +125,10 @@ Result<CountingTree> BuildTreeSharded(const DataSource& source,
     if (status.ok()) status = builder.status();
     if (status.ok()) {
       // Chunks arrive in order and cover [begin, end) exactly once, so
-      // this fold is bit-identical to the old point-at-a-time cursor
-      // loop at every chunk size. The scanner keeps up to read_ahead
-      // chunks in flight behind this shard's inserts; depth 0 is the
-      // plain synchronous scan.
+      // this fold is bit-identical to a point-at-a-time loop at every
+      // chunk size. The scanner keeps up to read_ahead chunks in flight
+      // behind this shard's inserts; depth 0 is the plain synchronous
+      // scan.
       const ReadAheadScanner scanner(source, read_ahead);
       status = scanner.ScanChunks(
           begin, end, chunk_points,
@@ -192,7 +192,7 @@ Result<CountingTree> BuildTreeSharded(const DataSource& source,
       static_cast<int64_t>(stats->chunks_scanned));
   // Worst-case raw points resident at once: every shard holding all of
   // its scan's chunk buffers (the read-ahead ring, or one buffer for a
-  // synchronous scan). Zero-copy backends (memory, mmap) stay below it.
+  // synchronous scan). The zero-copy memory backend stays below it.
   const size_t buffers = std::max<size_t>(1, read_ahead);
   stats->resident_point_bound =
       static_cast<size_t>(shards) *

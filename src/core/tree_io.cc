@@ -16,13 +16,13 @@ void AppendPod(const T& v, std::string* out) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
-/// Sequential cursor over serialized tree bytes. Every read names the
+/// Sequential reader over serialized tree bytes. Every read names the
 /// section it parses, so an error can say *which* record failed and at
 /// what offset — "cell record ends at byte 91213" locates the damage in
 /// a multi-megabyte artifact without a hex dump.
-class TreeCursor {
+class TreeReader {
  public:
-  TreeCursor(const std::string& bytes, const std::string& path)
+  TreeReader(const std::string& bytes, const std::string& path)
       : bytes_(bytes), path_(path) {}
 
   template <typename T>
@@ -93,7 +93,7 @@ Status SaveTree(const CountingTree& tree, const std::string& path) {
 
 Result<CountingTree> ParseTree(const std::string& bytes,
                                const std::string& path) {
-  TreeCursor in(bytes, path);
+  TreeReader in(bytes, path);
   char magic[4];
   MRCC_RETURN_IF_ERROR(in.Read("magic", &magic));
   if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {

@@ -241,7 +241,7 @@ Status ReadAheadScanner::ScanChunks(size_t begin, size_t end,
       if (status.ok()) status = ring.FinalStatus();
       local.stalls = ring.stalls();
       local.queue_full_waits = ring.queue_full_waits();
-      MetricsRegistry::Global().gauge("memory.prefetch_buffer_bytes").SetMax(
+      MetricsRegistry::Global().gauge("memory.prefetch_ring_bytes").SetMax(
           static_cast<int64_t>(ring.BufferBytes()));
     }
   }

@@ -40,8 +40,8 @@ struct BenchEntry {
   double subspace_quality = 0.0;
   uint64_t clusters_found = 0;
 
-  /// Data backend the run scanned: "memory" (default), "chunked"
-  /// (bounded-buffer preads) or "mmap". Results are bit-identical across
+  /// Data backend the run scanned: "memory" (default) or "chunked"
+  /// (bounded-buffer preads). Results are bit-identical across
   /// backends; this axis exists to compare their time and memory.
   std::string source = "memory";
 

@@ -1,5 +1,5 @@
 // Fuzz-style corpus tests for the two parsers that consume external
-// bytes: the binary dataset reader and the BenchRecord JSON reader.
+// bytes: the binary dataset readers and the BenchRecord JSON reader.
 //
 // Contract under test (DESIGN.md §11): any byte sequence either parses
 // or returns a non-OK Status. No crash, no abort, no unbounded
@@ -20,7 +20,7 @@
 
 #include "common/rng.h"
 #include "data/dataset_io.h"
-#include "data/dataset_reader.h"
+#include "data/data_source.h"
 #include "eval/bench_record.h"
 #include "test_util.h"
 
@@ -56,16 +56,16 @@ void DriveDatasetParsers(const std::string& bytes,
     std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  Result<BinaryDatasetReader> reader = BinaryDatasetReader::Open(tmp_path);
-  if (reader.ok() && reader->num_dims() <= kScanCap &&
-      reader->num_points() <= kScanCap) {
-    std::vector<double> row(reader->num_dims());
-    while (reader->Next(std::span<double>(row))) {
-    }
-    // A reader that opened cleanly must scan cleanly: Open() validated
+  Result<ChunkedBinaryDataSource> source =
+      ChunkedBinaryDataSource::Open(tmp_path);
+  if (source.ok() && source->NumDims() <= kScanCap &&
+      source->NumPoints() <= kScanCap) {
+    // A source that opened cleanly must scan cleanly: Open() validated
     // the file size up front.
-    EXPECT_TRUE(reader->status().ok())
-        << reader->status().ToString();
+    const Status scanned = source->ScanChunks(
+        0, source->NumPoints(), 64,
+        [](size_t, std::span<const double>) { return Status::OK(); });
+    EXPECT_TRUE(scanned.ok()) << scanned.ToString();
   }
   std::vector<int> labels;
   const Result<Dataset> loaded = LoadBinary(tmp_path, &labels);
@@ -136,6 +136,12 @@ const std::vector<std::string>& DatasetSeedNames() {
   return *names;
 }
 
+/// The dataset seeds neither reader may accept.
+std::vector<const char*> InvalidDatasetSeedNames() {
+  return {"truncated.bin",   "bad_magic.bin", "bad_version.bin",
+          "huge_counts.bin", "empty.bin",     "short_header.bin"};
+}
+
 const std::vector<std::string>& BenchRecordSeedNames() {
   static const auto* names = new std::vector<std::string>{
       "valid.json",           "unknown_keys.json", "wrong_version.json",
@@ -155,20 +161,32 @@ TEST(CorpusDatasetTest, SeedsParseAsDocumented) {
   EXPECT_EQ(valid->NumDims(), 3u);
   EXPECT_EQ(labels.size(), 5u);
 
-  Result<BinaryDatasetReader> reader =
-      BinaryDatasetReader::Open(CorpusPath("dataset/header_only.bin"));
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  EXPECT_EQ(reader->num_points(), 0u);
+  Result<ChunkedBinaryDataSource> source =
+      ChunkedBinaryDataSource::Open(CorpusPath("dataset/header_only.bin"));
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  EXPECT_EQ(source->NumPoints(), 0u);
 
-  for (const char* bad : {"truncated.bin", "bad_magic.bin",
-                          "bad_version.bin", "huge_counts.bin", "empty.bin",
-                          "short_header.bin"}) {
+  for (const char* bad : InvalidDatasetSeedNames()) {
     SCOPED_TRACE(bad);
     const std::string path = CorpusPath(std::string("dataset/") + bad);
-    EXPECT_FALSE(BinaryDatasetReader::Open(path).ok());
+    EXPECT_FALSE(ChunkedBinaryDataSource::Open(path).ok());
     EXPECT_FALSE(LoadBinary(path).ok());
   }
   std::remove(tmp.c_str());
+}
+
+TEST(CorpusDatasetTest, BothReadersRejectAnInvalidSeedWithTheSameStatus) {
+  // One format, one parser (ReadBinaryHeader): whichever reader meets a
+  // malformed file reports it identically.
+  for (const char* bad : InvalidDatasetSeedNames()) {
+    SCOPED_TRACE(bad);
+    const std::string path = CorpusPath(std::string("dataset/") + bad);
+    const Status loaded = LoadBinary(path).status();
+    const Status opened = ChunkedBinaryDataSource::Open(path).status();
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.code(), opened.code());
+    EXPECT_EQ(loaded.message(), opened.message());
+  }
 }
 
 TEST(CorpusDatasetTest, TenThousandMutationsNeverCrashTheReaders) {

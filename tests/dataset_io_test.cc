@@ -6,6 +6,8 @@
 #include <fstream>
 #include <string>
 
+#include <unistd.h>
+
 #include "test_util.h"
 
 namespace mrcc {
@@ -145,6 +147,26 @@ TEST_F(DatasetIoTest, BinaryRejectsTruncatedFile) {
   }
   Result<Dataset> r = LoadBinary(path);
   ASSERT_FALSE(r.ok());
+  std::remove(path.c_str());
+}
+
+TEST_F(DatasetIoTest, BinaryRejectsTruncatedLabelBlock) {
+  // The points are intact; the cut falls on the label flag, then inside
+  // the labels. Either way the load fails instead of inventing labels.
+  Dataset d = testing::UniformDataset(10, 2, 3);
+  const std::vector<int> labels(10, 1);
+  const std::string path = Path("trunc_labels.bin");
+  const off_t points_end = 24 + 10 * 2 * sizeof(double);
+  for (const off_t cut : {points_end, points_end + 1 + 7}) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    ASSERT_TRUE(SaveBinary(d, path, &labels).ok());
+    ASSERT_EQ(truncate(path.c_str(), cut), 0);
+    std::vector<int> loaded_labels;
+    const Result<Dataset> r = LoadBinary(path, &loaded_labels);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+    EXPECT_TRUE(loaded_labels.empty());
+  }
   std::remove(path.c_str());
 }
 

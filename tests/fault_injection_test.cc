@@ -1,5 +1,5 @@
 // The fault sweep: every registered failpoint, injected into a full
-// pipeline run (mmap file source -> MrCC::Run -> result + report
+// pipeline run (file source -> MrCC::Run -> result + report
 // writes), must produce a clean non-OK Status of the expected category,
 // a successful-but-degraded result, or a clean success via a fallback. Never an abort, never a
 // crash, never a sanitizer report — this is the executable form of the
@@ -50,8 +50,6 @@ const std::map<std::string, Expectation>& Expectations() {
       // A corrupt row is caught by input sanitization, not by I/O.
       {"source.read.corrupt",
        {Outcome::kError, StatusCode::kInvalidArgument}},
-      // A refused mapping falls back to the pread path transparently.
-      {"source.mmap", {Outcome::kAbsorbed}},
       {"source.chunk.read", {Outcome::kError, StatusCode::kIOError}},
       {"tree.build.alloc",
        {Outcome::kError, StatusCode::kResourceExhausted}},
@@ -89,9 +87,10 @@ const std::map<std::string, Expectation>& DistExpectations() {
 /// wherever its real failure would.
 Status RunScenario(const Dataset& data, const std::string& bin_path,
                    const std::string& out_prefix, MrCCStats* stats) {
-  // The mmap source exercises the most seams: open + header read (pread),
-  // the mapping itself, and the per-chunk delivery path.
-  Result<MmapFileDataSource> source = MmapFileDataSource::Open(bin_path);
+  // The file source exercises every source seam: open, header and block
+  // reads (pread), and the per-chunk delivery path.
+  Result<ChunkedBinaryDataSource> source =
+      ChunkedBinaryDataSource::Open(bin_path);
   if (!source.ok()) return source.status();
   MrCCParams params;
   params.num_threads = 2;  // Two shards: exercises merge and pool seams.
@@ -212,8 +211,8 @@ TEST_F(FaultInjectionTest, SingleTransientErrorIsRetriedInvisibly) {
       RunScenario(data_, bin_path_, out_prefix_, &baseline_stats).ok());
 
   fp::ScopedArm arm("source.read.transient=1");
-  Result<BinaryFileDataSource> source =
-      BinaryFileDataSource::Open(bin_path_);
+  Result<ChunkedBinaryDataSource> source =
+      ChunkedBinaryDataSource::Open(bin_path_);
   ASSERT_TRUE(source.ok());
   const Result<MrCCResult> result = MrCC().Run(*source);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -226,8 +225,8 @@ TEST_F(FaultInjectionTest, ProbabilisticReadFaultsNeverCrashThePipeline) {
   // Runs either complete (enough retries absorbed the faults) or fail
   // with a clean IOError; determinism of the trigger makes this exact.
   fp::ScopedArm arm("source.read.transient=p0.2@1234");
-  Result<BinaryFileDataSource> source =
-      BinaryFileDataSource::Open(bin_path_);
+  Result<ChunkedBinaryDataSource> source =
+      ChunkedBinaryDataSource::Open(bin_path_);
   if (!source.ok()) {
     EXPECT_EQ(source.status().code(), StatusCode::kIOError);
     return;
@@ -244,8 +243,8 @@ TEST_F(FaultInjectionTest, LenientPolicySurvivesCorruptRows) {
   // Corrupt rows + skip policy: the run completes on the clean subset
   // and reports exactly how much it dropped.
   fp::ScopedArm arm("source.read.corrupt=p0.05@7");
-  Result<BinaryFileDataSource> source =
-      BinaryFileDataSource::Open(bin_path_);
+  Result<ChunkedBinaryDataSource> source =
+      ChunkedBinaryDataSource::Open(bin_path_);
   ASSERT_TRUE(source.ok());
   MrCCParams params;
   params.bad_point_policy = BadPointPolicy::kSkip;

@@ -163,12 +163,6 @@ TEST(GoldenRegressionTest, OutOfCoreBuildsMatchThePinnedHashes) {
       Result<MrCCResult> r = MrCC(params).Run(*chunked);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       EXPECT_EQ(HashResult(*r), c.result_hash);
-
-      Result<MmapFileDataSource> mapped = MmapFileDataSource::Open(bin_path);
-      ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-      r = MrCC(params).Run(*mapped);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      EXPECT_EQ(HashResult(*r), c.result_hash);
     }
     std::remove(bin_path.c_str());
   }
@@ -206,12 +200,6 @@ TEST(GoldenRegressionTest, ReadAheadDepthsMatchThePinnedHashes) {
             ChunkedBinaryDataSource::Open(bin_path);
         ASSERT_TRUE(chunked.ok()) << chunked.status().ToString();
         r = MrCC(params).Run(*chunked);
-        ASSERT_TRUE(r.ok()) << r.status().ToString();
-        EXPECT_EQ(HashResult(*r), c.result_hash);
-
-        Result<MmapFileDataSource> mapped = MmapFileDataSource::Open(bin_path);
-        ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-        r = MrCC(params).Run(*mapped);
         ASSERT_TRUE(r.ok()) << r.status().ToString();
         EXPECT_EQ(HashResult(*r), c.result_hash);
       }

@@ -1,8 +1,8 @@
 // Out-of-core build determinism: the chunked scan path must be invisible
 // in the results. Whatever the chunk size (1, a prime that straddles every
 // interesting boundary, the 4096 default, or the whole dataset), whatever
-// the backend (memory, per-point file reads, block reads, mmap), and
-// whatever the thread count, MrCC::Run produces bit-identical labels,
+// the backend (memory or block reads from the file), and whatever the
+// thread count, MrCC::Run produces bit-identical labels,
 // β-clusters and stats-visible cluster geometry. This is the executable
 // form of the ScanChunks contract in data/data_source.h: chunks arrive in
 // order and cover the range exactly once.
@@ -89,44 +89,18 @@ TEST_F(OutOfCoreTest, EveryBackendMatchesTheInMemoryBuild) {
     params.num_threads = threads;
     const std::string tag = " threads=" + std::to_string(threads);
 
-    Result<BinaryFileDataSource> file = BinaryFileDataSource::Open(bin_path_);
-    ASSERT_TRUE(file.ok()) << file.status().ToString();
-    Result<MrCCResult> r = MrCC(params).Run(*file);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ExpectSameResult(*r, *baseline, "file" + tag);
-
-    // A tiny block buffer (64 bytes -> forced re-blocking) must not show.
     Result<ChunkedBinaryDataSource> chunked =
-        ChunkedBinaryDataSource::Open(bin_path_, 64);
+        ChunkedBinaryDataSource::Open(bin_path_);
     ASSERT_TRUE(chunked.ok()) << chunked.status().ToString();
-    r = MrCC(params).Run(*chunked);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ExpectSameResult(*r, *baseline, "chunked" + tag);
-
-    Result<MmapFileDataSource> mapped = MmapFileDataSource::Open(bin_path_);
-    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-    EXPECT_TRUE(mapped->using_mmap());
-    r = MrCC(params).Run(*mapped);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ExpectSameResult(*r, *baseline, "mmap" + tag);
+    // Tiny chunks (many block reads per slice) must not show either.
+    for (size_t chunk : {size_t{512}, size_t{3}}) {
+      params.chunk_points = chunk;
+      const Result<MrCCResult> r = MrCC(params).Run(*chunked);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ExpectSameResult(*r, *baseline,
+                       "chunked" + tag + " chunk=" + std::to_string(chunk));
+    }
   }
-}
-
-TEST_F(OutOfCoreTest, MmapFallbackIsInvisibleInResults) {
-  MrCCParams params;
-  const Result<MrCCResult> baseline = MrCC(params).Run(data_);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-
-  fp::ScopedArm arm("source.mmap");  // Kernel refuses the mapping.
-  Result<MmapFileDataSource> source = MmapFileDataSource::Open(bin_path_);
-  ASSERT_TRUE(source.ok()) << source.status().ToString();
-  EXPECT_FALSE(source->using_mmap());
-  EXPECT_GT(fp::HitCount("source.mmap"), 0u);
-
-  const Result<MrCCResult> r = MrCC(params).Run(*source);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ExpectSameResult(*r, *baseline, "mmap-fallback");
-  EXPECT_FALSE(r->stats.degraded);
 }
 
 TEST_F(OutOfCoreTest, SanitizationStraddlingAChunkEdgeIsChunkInvariant) {
@@ -188,9 +162,10 @@ TEST_F(OutOfCoreTest, ChunkReadFaultFailsCleanlyOnEveryBackend) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIOError);
 
-  Result<MmapFileDataSource> mapped = MmapFileDataSource::Open(bin_path_);
-  ASSERT_TRUE(mapped.ok());
-  r = MrCC(params).Run(*mapped);
+  Result<ChunkedBinaryDataSource> chunked =
+      ChunkedBinaryDataSource::Open(bin_path_);
+  ASSERT_TRUE(chunked.ok());
+  r = MrCC(params).Run(*chunked);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIOError);
 }

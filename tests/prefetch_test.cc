@@ -78,9 +78,7 @@ TEST_F(PrefetchTest, EveryDepthDeliversTheSynchronousChunkSequence) {
   Result<ChunkedBinaryDataSource> chunked =
       ChunkedBinaryDataSource::Open(bin_path_);
   ASSERT_TRUE(chunked.ok()) << chunked.status().ToString();
-  Result<MmapFileDataSource> mapped = MmapFileDataSource::Open(bin_path_);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  const DataSource* sources[] = {&memory, &*chunked, &*mapped};
+  const DataSource* sources[] = {&memory, &*chunked};
 
   for (const DataSource* source : sources) {
     SCOPED_TRACE(source->Name());
@@ -270,9 +268,7 @@ TEST_F(PrefetchTest, ShardedRunsPipelineEveryBackendIdentically) {
   Result<ChunkedBinaryDataSource> chunked =
       ChunkedBinaryDataSource::Open(bin_path_);
   ASSERT_TRUE(chunked.ok());
-  Result<MmapFileDataSource> mapped = MmapFileDataSource::Open(bin_path_);
-  ASSERT_TRUE(mapped.ok());
-  const DataSource* sources[] = {&memory, &*chunked, &*mapped};
+  const DataSource* sources[] = {&memory, &*chunked};
 
   MrCCParams params;
   params.num_threads = 4;

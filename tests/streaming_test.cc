@@ -6,7 +6,6 @@
 #include "core/mrcc.h"
 #include "data/data_source.h"
 #include "data/dataset_io.h"
-#include "data/dataset_reader.h"
 #include "eval/quality.h"
 #include "test_util.h"
 
@@ -24,61 +23,10 @@ std::string TempBinary(const Dataset& data, const char* name) {
 // RunMrCCOnBinaryFile wrapper).
 Result<MrCCResult> RunOnFile(const std::string& path,
                              const MrCCParams& params = MrCCParams()) {
-  Result<BinaryFileDataSource> source = BinaryFileDataSource::Open(path);
+  Result<ChunkedBinaryDataSource> source =
+      ChunkedBinaryDataSource::Open(path);
   if (!source.ok()) return source.status();
   return MrCC(params).Run(*source);
-}
-
-TEST(DatasetReaderTest, StreamsAllPointsInOrder) {
-  Dataset d = testing::UniformDataset(200, 5, 31);
-  const std::string path = TempBinary(d, "order.bin");
-  Result<BinaryDatasetReader> reader = BinaryDatasetReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(reader->num_points(), 200u);
-  EXPECT_EQ(reader->num_dims(), 5u);
-  std::vector<double> point(5);
-  size_t i = 0;
-  while (reader->Next(point)) {
-    for (size_t j = 0; j < 5; ++j) {
-      ASSERT_DOUBLE_EQ(point[j], d(i, j)) << "point " << i;
-    }
-    ++i;
-  }
-  EXPECT_EQ(i, 200u);
-  EXPECT_TRUE(reader->status().ok());
-  std::remove(path.c_str());
-}
-
-TEST(DatasetReaderTest, RewindRestartsScan) {
-  Dataset d = testing::UniformDataset(50, 3, 17);
-  const std::string path = TempBinary(d, "rewind.bin");
-  Result<BinaryDatasetReader> reader = BinaryDatasetReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-  std::vector<double> point(3);
-  while (reader->Next(point)) {
-  }
-  ASSERT_TRUE(reader->Rewind().ok());
-  ASSERT_TRUE(reader->Next(point));
-  EXPECT_DOUBLE_EQ(point[0], d(0, 0));
-  std::remove(path.c_str());
-}
-
-TEST(DatasetReaderTest, MissingFileIsIOError) {
-  Result<BinaryDatasetReader> reader =
-      BinaryDatasetReader::Open("/nonexistent/x.bin");
-  ASSERT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), StatusCode::kIOError);
-}
-
-TEST(DatasetReaderTest, WrongSpanSizeSetsStatus) {
-  Dataset d = testing::UniformDataset(10, 4, 3);
-  const std::string path = TempBinary(d, "span.bin");
-  Result<BinaryDatasetReader> reader = BinaryDatasetReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-  std::vector<double> wrong(3);
-  EXPECT_FALSE(reader->Next(wrong));
-  EXPECT_FALSE(reader->status().ok());
-  std::remove(path.c_str());
 }
 
 TEST(StreamingTest, MatchesInMemoryRunExactly) {

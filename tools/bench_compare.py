@@ -4,12 +4,15 @@
 Usage:
   tools/bench_compare.py BASELINE.json CURRENT.json [options]
 
-Entries are matched by (method, dataset). For each matched pair the
-per-run wall time is compared; the record-level totals (wall_seconds,
-peak_rss_bytes) are compared as well. A regression is a relative increase
-above --threshold (default 25%). Small absolute times are noisy, so pairs
-where both sides are under --min-seconds (default 50 ms) are only reported
-informationally, never failed on.
+Entries are matched by (method, dataset, source, read_ahead): one bench
+can record the same method and dataset once per data backend and
+read-ahead depth. Entries that share all four fields are matched in
+record order. For each matched pair the per-run wall time is compared;
+the record-level totals (wall_seconds, peak_rss_bytes) are compared as
+well. A regression is a relative increase above --threshold (default
+25%). Small absolute times are noisy, so pairs where both sides are under
+--min-seconds (default 50 ms) are only reported informationally, never
+failed on.
 
 Exit codes:
   0  no regressions (or --warn-only), or no usable baseline (a missing or
@@ -25,6 +28,7 @@ the runner variance is characterised.
 """
 
 import argparse
+import collections
 import json
 import sys
 
@@ -66,7 +70,31 @@ def load_record(path, *, required):
 
 
 def entry_key(entry):
-    return (entry.get("method", ""), entry.get("dataset", ""))
+    # Records that predate the backend axis default to the values a
+    # BenchEntry carries when the axis is not swept.
+    return (
+        entry.get("method", ""),
+        entry.get("dataset", ""),
+        entry.get("source", "memory"),
+        entry.get("read_ahead", 0),
+    )
+
+
+def index_entries(entries):
+    """Keys every entry; repeats of one key get their occurrence number."""
+    seen = collections.Counter()
+    indexed = {}
+    for entry in entries:
+        key = entry_key(entry)
+        indexed[key + (seen[key],)] = entry
+        seen[key] += 1
+    return indexed
+
+
+def entry_name(key):
+    method, dataset, source, read_ahead, occurrence = key
+    repeat = f" #{occurrence + 1}" if occurrence > 0 else ""
+    return f"{method}/{dataset} [{source}, read_ahead {read_ahead}]{repeat}"
 
 
 def relative_change(base, cur):
@@ -128,20 +156,20 @@ def main():
             f"current {cur.get('scale')}); timings are not comparable"
         )
 
-    base_entries = {entry_key(e): e for e in base.get("entries", [])}
-    cur_entries = {entry_key(e): e for e in cur.get("entries", [])}
+    base_entries = index_entries(base.get("entries", []))
+    cur_entries = index_entries(cur.get("entries", []))
 
     regressions = []
     infos = []
 
     for key in sorted(base_entries.keys() - cur_entries.keys()):
-        infos.append(f"entry {key[0]}/{key[1]}: missing from current run")
+        infos.append(f"entry {entry_name(key)}: missing from current run")
     for key in sorted(cur_entries.keys() - base_entries.keys()):
-        infos.append(f"entry {key[0]}/{key[1]}: new in current run")
+        infos.append(f"entry {entry_name(key)}: new in current run")
 
     for key in sorted(base_entries.keys() & cur_entries.keys()):
         b, c = base_entries[key], cur_entries[key]
-        name = f"{key[0]}/{key[1]}"
+        name = entry_name(key)
         if b.get("completed") and not c.get("completed"):
             regressions.append(
                 f"entry {name}: completed in baseline, now fails "
