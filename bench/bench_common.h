@@ -14,7 +14,8 @@
 //   MRCC_BENCH_BUDGET   per-run time budget in seconds (default 120).
 //                       Methods exceeding it are reported as timed out,
 //                       mirroring the paper's 3h/1-week cutoffs.
-//   MRCC_BENCH_METHODS  comma-separated subset of methods to run.
+//   MRCC_BENCH_METHODS  comma-separated subset of PaperMethodNames() to
+//                       run; an unknown name exits 2.
 //   MRCC_BENCH_CSV      directory to also write <bench>.csv into.
 //   MRCC_BENCH_DATA_DIR directory to cache generated datasets in. Files
 //                       are keyed on every generator parameter, so a
@@ -39,6 +40,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -113,6 +115,23 @@ inline std::vector<size_t> ParseReadAheadList(const std::string& raw) {
   return depths;
 }
 
+/// "MrCC,LAC" -> {"MrCC", "LAC"}. A misspelled method would otherwise run
+/// the whole matrix with a "no tuning grid" row per dataset, so names
+/// outside PaperMethodNames() abort with the list of valid ones.
+inline std::vector<std::string> ParseMethodList(const std::string& raw) {
+  const std::vector<std::string> valid = PaperMethodNames();
+  std::vector<std::string> methods = SplitCsvList(raw);
+  for (const std::string& name : methods) {
+    if (std::find(valid.begin(), valid.end(), name) != valid.end()) continue;
+    std::string names;
+    for (const std::string& v : valid) names += (names.empty() ? "" : ",") + v;
+    std::fprintf(stderr, "methods: unknown method '%s'\nusage: --methods=A,B "
+                 "with names from %s\n", name.c_str(), names.c_str());
+    std::exit(2);
+  }
+  return methods;
+}
+
 inline BenchOptions OptionsFromEnv() {
   BenchOptions options;
   if (const char* full = std::getenv("MRCC_BENCH_FULL");
@@ -126,7 +145,7 @@ inline BenchOptions OptionsFromEnv() {
     options.time_budget_seconds = std::strtod(budget, nullptr);
   }
   if (const char* methods = std::getenv("MRCC_BENCH_METHODS")) {
-    options.methods = SplitCsvList(methods);
+    options.methods = ParseMethodList(methods);
   }
   if (const char* dir = std::getenv("MRCC_BENCH_CSV")) {
     options.csv_dir = dir;
@@ -167,7 +186,7 @@ inline BenchOptions ParseOptions(int argc, char** argv) {
     } else if (MatchFlag(argv[i], "budget", &value)) {
       options.time_budget_seconds = std::strtod(value.c_str(), nullptr);
     } else if (MatchFlag(argv[i], "methods", &value)) {
-      options.methods = SplitCsvList(value);
+      options.methods = ParseMethodList(value);
     } else if (MatchFlag(argv[i], "csv_dir", &value)) {
       options.csv_dir = value;
     } else if (MatchFlag(argv[i], "data_dir", &value)) {

@@ -1,20 +1,21 @@
-// Measures the paper's opening argument (§I): traditional full-
-// dimensional clustering struggles on subspace-clustered data — it has no
-// concept of irrelevant axes or of noise — while a subspace method keeps
-// working. Two sweeps, k-means always handed the true k and MrCC handed
-// nothing:
+// Measures the paper's opening argument (§I): a k-means-style partitioner
+// has no concept of noise, and full-space distances are diluted by
+// irrelevant axes, while MrCC keeps working. The partitioner is LAC, the
+// paper's k-means-style competitor, which at least weights each cluster's
+// axes. Two sweeps, LAC always handed the true k and MrCC handed nothing:
 //
-//   1. Noise sweep (d = 14): uniform background points drag k-means
-//      centroids and cap its precision; MrCC labels them noise.
+//   1. Noise sweep (d = 14): LAC must put every uniform background point
+//      into some cluster, which caps its precision; MrCC labels them
+//      noise.
 //   2. Irrelevant-axes sweep (d grows, cluster dimensionality fixed at 8):
-//      every added uniform axis dilutes full-space distances.
+//      every added uniform axis enters LAC's weighted distances.
 //
 //   ./examples/curse_of_dimensionality [num_points]
 
 #include <cstdio>
 #include <cstdlib>
 
-#include "baselines/kmeans.h"
+#include "baselines/lac.h"
 #include "core/mrcc.h"
 #include "data/generator.h"
 #include "eval/quality.h"
@@ -28,15 +29,15 @@ void RunCase(const mrcc::SyntheticConfig& cfg, const char* row_label) {
                  ds.status().ToString().c_str());
     std::exit(1);
   }
-  mrcc::KMeansParams kp;
-  kp.num_clusters = cfg.num_clusters;
-  mrcc::KMeans kmeans(kp);
+  mrcc::LacParams lp;
+  lp.num_clusters = cfg.num_clusters;
+  mrcc::Lac lac(lp);
   mrcc::MrCC method;
-  mrcc::Result<mrcc::Clustering> km = kmeans.Cluster(ds->data);
+  mrcc::Result<mrcc::Clustering> lc = lac.Cluster(ds->data);
   mrcc::Result<mrcc::Clustering> mc = method.Cluster(ds->data);
-  if (!km.ok() || !mc.ok()) std::exit(1);
+  if (!lc.ok() || !mc.ok()) std::exit(1);
   std::printf("%10s %14.4f %14.4f\n", row_label,
-              mrcc::EvaluateClustering(*km, ds->truth).quality,
+              mrcc::EvaluateClustering(*lc, ds->truth).quality,
               mrcc::EvaluateClustering(*mc, ds->truth).quality);
 }
 
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
   const size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 15000;
 
   std::printf("-- noise sweep: %zu points, 14 axes, 6 clusters --\n", n);
-  std::printf("%10s %14s %14s\n", "noise", "k-means Q", "MrCC Q");
+  std::printf("%10s %14s %14s\n", "noise", "LAC Q", "MrCC Q");
   for (int pct : {5, 15, 25, 35, 45}) {
     mrcc::SyntheticConfig cfg;
     cfg.num_points = n;
@@ -64,7 +65,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\n-- irrelevant-axes sweep: clusters always 8-dimensional, "
       "15%% noise --\n");
-  std::printf("%10s %14s %14s\n", "d", "k-means Q", "MrCC Q");
+  std::printf("%10s %14s %14s\n", "d", "LAC Q", "MrCC Q");
   for (size_t d : {9, 10, 11, 12, 13}) {
     mrcc::SyntheticConfig cfg;
     cfg.num_points = n;
@@ -80,8 +81,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\nk-means is handed the true k yet pays for every background point "
-      "and every irrelevant axis; MrCC is handed nothing and pays for "
-      "neither.\n");
+      "\nAt the default 15000 points, LAC is handed the true k yet loses "
+      "Quality as the background grows and stays below MrCC at every d; "
+      "MrCC is handed nothing. Far fewer points leave MrCC too few per "
+      "cell at the highest d.\n");
   return 0;
 }

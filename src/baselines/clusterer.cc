@@ -1,24 +1,13 @@
 #include "baselines/clusterer.h"
 
-#include "baselines/clique.h"
 #include "baselines/doc.h"
 #include "baselines/epch.h"
 #include "baselines/harp.h"
 #include "baselines/lac.h"
-#include "baselines/orclus.h"
-#include "baselines/kmeans.h"
 #include "baselines/p3c.h"
-#include "baselines/proclus.h"
-#include "baselines/statpc.h"
 #include "core/mrcc.h"
 
 namespace mrcc {
-
-std::vector<std::string> AllMethodNames() {
-  return {"MrCC",   "LAC",     "EPCH",   "CFPC", "HARP",    "P3C",
-          "CLIQUE", "PROCLUS", "ORCLUS", "DOC",  "FastDOC", "STATPC",
-          "k-means"};
-}
 
 std::vector<std::string> PaperMethodNames() {
   return {"MrCC", "LAC", "EPCH", "CFPC", "HARP", "P3C"};
@@ -40,11 +29,8 @@ Result<std::unique_ptr<SubspaceClusterer>> MakeClusterer(
     p.max_clusters = tuning.num_clusters;
     return std::unique_ptr<SubspaceClusterer>(new Epch(p));
   }
-  if (name == "CFPC" || name == "DOC" || name == "FastDOC") {
+  if (name == "CFPC") {
     DocParams p;
-    p.variant = name == "CFPC"  ? DocVariant::kCfpc
-                : name == "DOC" ? DocVariant::kDoc
-                                : DocVariant::kFastDoc;
     p.num_clusters = tuning.num_clusters;
     p.seed = tuning.seed;
     return std::unique_ptr<SubspaceClusterer>(new Doc(p));
@@ -57,34 +43,6 @@ Result<std::unique_ptr<SubspaceClusterer>> MakeClusterer(
   }
   if (name == "P3C") {
     return std::unique_ptr<SubspaceClusterer>(new P3c());
-  }
-  if (name == "CLIQUE") {
-    return std::unique_ptr<SubspaceClusterer>(new Clique());
-  }
-  if (name == "PROCLUS") {
-    ProclusParams p;
-    p.num_clusters = tuning.num_clusters;
-    p.avg_dims = tuning.avg_cluster_dims;
-    p.seed = tuning.seed;
-    return std::unique_ptr<SubspaceClusterer>(new Proclus(p));
-  }
-  if (name == "STATPC") {
-    StatpcParams p;
-    p.seed = tuning.seed;
-    return std::unique_ptr<SubspaceClusterer>(new Statpc(p));
-  }
-  if (name == "k-means") {
-    KMeansParams p;
-    p.num_clusters = tuning.num_clusters;
-    p.seed = tuning.seed;
-    return std::unique_ptr<SubspaceClusterer>(new KMeans(p));
-  }
-  if (name == "ORCLUS") {
-    OrclusParams p;
-    p.num_clusters = tuning.num_clusters;
-    p.subspace_dims = tuning.avg_cluster_dims;
-    p.seed = tuning.seed;
-    return std::unique_ptr<SubspaceClusterer>(new Orclus(p));
   }
   return Status::InvalidArgument("unknown clustering method: " + name);
 }

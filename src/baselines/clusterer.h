@@ -1,11 +1,10 @@
-// Factory over every implemented clustering method.
+// Factory over every implemented clustering method: MrCC and the five
+// competitors of the paper's evaluation (§IV).
 //
-// The paper's competitors (CFPC, HARP, LAC, EPCH, P3C) are clean-room
-// implementations of the original publications; CLIQUE, PROCLUS and ORCLUS
-// are included as classic bottom-up / top-down references and for the
-// oriented-subspace extension. Tuning follows §IV-E: methods that require
-// the number of clusters receive the ground-truth k, HARP additionally
-// receives the known noise percentage.
+// The competitors (CFPC, HARP, LAC, EPCH, P3C) are clean-room
+// implementations of the original publications. Tuning follows §IV-E:
+// methods that require the number of clusters receive the ground-truth k,
+// HARP additionally receives the known noise percentage.
 
 #pragma once
 
@@ -19,26 +18,19 @@ namespace mrcc {
 
 /// Dataset-level hints handed to methods that need them (paper §IV-E).
 struct MethodTuning {
-  /// Ground-truth number of clusters (LAC, EPCH, CFPC, HARP, PROCLUS,
-  /// ORCLUS). Ignored by parameter-free methods.
+  /// Ground-truth number of clusters (LAC, EPCH, CFPC, HARP). Ignored by
+  /// parameter-free methods.
   size_t num_clusters = 5;
 
   /// Known noise fraction (HARP's maximum noise percentile).
   double noise_fraction = 0.15;
 
-  /// Average cluster dimensionality hint (PROCLUS's l, ORCLUS's target
-  /// subspace dimensionality). 0 = pick a default from the data.
-  size_t avg_cluster_dims = 0;
-
-  /// Seed for randomized methods (CFPC, PROCLUS, ORCLUS, LAC init).
+  /// Seed for randomized methods (CFPC, LAC init).
   uint64_t seed = 7;
 };
 
-/// Every method this library implements.
-std::vector<std::string> AllMethodNames();
-
 /// The six methods compared in the paper's evaluation (MrCC + the five
-/// competitors).
+/// competitors) — every method this library implements.
 std::vector<std::string> PaperMethodNames();
 
 /// Instantiates a method by name with default internal parameters and the
@@ -47,4 +39,3 @@ std::vector<std::string> PaperMethodNames();
     const std::string& name, const MethodTuning& tuning);
 
 }  // namespace mrcc
-

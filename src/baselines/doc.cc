@@ -22,85 +22,6 @@ double Mu(size_t cluster_size, size_t num_dims, double beta) {
          std::pow(1.0 / beta, static_cast<double>(num_dims));
 }
 
-// Members of the box of half-width w around pivot on `dims`, drawn from
-// `pool`.
-std::vector<size_t> BoxMembers(const Dataset& data,
-                               std::span<const double> pivot,
-                               const std::vector<bool>& dims, double w,
-                               const std::vector<size_t>& pool) {
-  std::vector<size_t> members;
-  for (size_t i : pool) {
-    const auto p = data.Point(i);
-    bool inside = true;
-    for (size_t j = 0; j < dims.size(); ++j) {
-      if (dims[j] && std::fabs(p[j] - pivot[j]) > w) {
-        inside = false;
-        break;
-      }
-    }
-    if (inside) members.push_back(i);
-  }
-  return members;
-}
-
-// Monte Carlo DOC / FASTDOC: one best cluster over the pool.
-Candidate MonteCarloBestCluster(const Dataset& data,
-                                const std::vector<size_t>& pool,
-                                const DocParams& params, Rng& rng) {
-  const size_t d = data.NumDims();
-  // Discriminating set size r = log(2d) / log(1/(2 beta)).
-  const double denom = std::log(1.0 / (2.0 * params.beta));
-  const size_t r = std::max<size_t>(
-      1, static_cast<size_t>(std::ceil(std::log(2.0 * static_cast<double>(d)) /
-                                       std::max(denom, 0.1))));
-  // Outer trials 2/alpha, inner trials (2/alpha)^r ln 4 — FASTDOC and CFPC
-  // contexts cap the totals.
-  const size_t outer = std::max<size_t>(
-      2, static_cast<size_t>(std::ceil(2.0 / params.alpha)));
-  size_t inner = params.max_inner_iterations;
-  if (params.variant == DocVariant::kDoc) {
-    const double raw =
-        std::pow(2.0 / params.alpha, static_cast<double>(r)) * std::log(4.0);
-    inner = static_cast<size_t>(
-        std::min<double>(raw, static_cast<double>(params.max_inner_iterations)));
-  }
-  inner = std::max<size_t>(inner, 1);
-
-  Candidate best;
-  const double min_size = params.alpha * static_cast<double>(pool.size());
-  for (size_t o = 0; o < outer; ++o) {
-    const size_t pivot_idx = pool[rng.UniformInt(pool.size())];
-    const auto pivot = data.Point(pivot_idx);
-    for (size_t t = 0; t < inner; ++t) {
-      // Random discriminating set votes the dims.
-      std::vector<bool> dims(d, true);
-      for (size_t s = 0; s < r; ++s) {
-        const size_t x = pool[rng.UniformInt(pool.size())];
-        const auto px = data.Point(x);
-        for (size_t j = 0; j < d; ++j) {
-          if (dims[j] && std::fabs(px[j] - pivot[j]) > params.w) {
-            dims[j] = false;
-          }
-        }
-      }
-      const size_t num_dims = static_cast<size_t>(
-          std::count(dims.begin(), dims.end(), true));
-      if (num_dims == 0) continue;
-      std::vector<size_t> members =
-          BoxMembers(data, pivot, dims, params.w, pool);
-      if (static_cast<double>(members.size()) < min_size) continue;
-      const double quality = Mu(members.size(), num_dims, params.beta);
-      if (quality > best.quality) {
-        best.dims = std::move(dims);
-        best.members = std::move(members);
-        best.quality = quality;
-        best.num_dims = num_dims;
-      }
-    }
-  }
-  return best;
-}
-
 // Branch-and-bound miner over dimension itemsets for one pivot (the FPC
 // inner search): finds the dim set maximizing mu with support >= min_size.
 class FpcMiner {
@@ -223,23 +144,13 @@ Candidate FpcBestCluster(const Dataset& data, const std::vector<size_t>& pool,
 
 Doc::Doc(DocParams params) : params_(params) {}
 
-std::string Doc::name() const {
-  switch (params_.variant) {
-    case DocVariant::kDoc:
-      return "DOC";
-    case DocVariant::kFastDoc:
-      return "FastDOC";
-    case DocVariant::kCfpc:
-      return "CFPC";
-  }
-  return "DOC";
-}
+std::string Doc::name() const { return "CFPC"; }
 
 Result<Clustering> Doc::Cluster(const Dataset& data) {
   StartClock();
   const size_t n = data.NumPoints();
   const size_t d = data.NumDims();
-  if (d > 62) return Status::InvalidArgument("DOC/CFPC supports d <= 62");
+  if (d > 62) return Status::InvalidArgument("CFPC supports d <= 62");
   if (!(params_.beta > 0.0 && params_.beta <= 0.5)) {
     return Status::InvalidArgument("beta must be in (0, 0.5]");
   }
@@ -255,10 +166,7 @@ Result<Clustering> Doc::Cluster(const Dataset& data) {
 
   for (size_t c = 0; c < params_.num_clusters && !pool.empty(); ++c) {
     if (TimeExpired()) return TimeoutStatus();
-    Candidate cand =
-        params_.variant == DocVariant::kCfpc
-            ? FpcBestCluster(data, pool, params_, rng)
-            : MonteCarloBestCluster(data, pool, params_, rng);
+    Candidate cand = FpcBestCluster(data, pool, params_, rng);
     if (cand.members.empty() || cand.num_dims == 0) break;
 
     const int label = static_cast<int>(out.clusters.size());

@@ -1,17 +1,13 @@
-// DOC / FASTDOC (Procopiuc et al., SIGMOD 2002) and CFPC / FPC
-// (Yiu & Mamoulis, TKDE 2005).
+// CFPC / FPC (Yiu & Mamoulis, TKDE 2005), built on DOC's cluster model
+// (Procopiuc et al., SIGMOD 2002).
 //
 // DOC defines a projected cluster as a hyper-box of width 2w around a
 // pivot point p on a set of relevant dims D, scoring candidates with
-// mu(|C|, |D|) = |C| * (1/beta)^|D|. The original algorithm is Monte
-// Carlo: random pivots and random discriminating sets vote dims into D.
-// FASTDOC caps the inner iterations. FPC (used by CFPC) replaces the
-// randomized inner loop with a systematic search: for a pivot p, every
-// point contributes the itemset { j : |x_j - p_j| <= w } and the best dim
-// set is found by branch-and-bound frequent-itemset mining; CFPC then
-// extracts multiple clusters in one run by removing found points.
-//
-// All three variants share this implementation, selected by `variant`.
+// mu(|C|, |D|) = |C| * (1/beta)^|D|. FPC finds the best dim set for a
+// pivot by a systematic search: every point contributes the itemset
+// { j : |x_j - p_j| <= w } and the set maximizing mu is found by
+// branch-and-bound frequent-itemset mining. CFPC extracts multiple
+// clusters in one run by removing found points.
 
 #pragma once
 
@@ -21,11 +17,7 @@
 
 namespace mrcc {
 
-enum class DocVariant { kDoc, kFastDoc, kCfpc };
-
 struct DocParams {
-  DocVariant variant = DocVariant::kCfpc;
-
   /// Maximum number of clusters to extract (the paper feeds true k).
   size_t num_clusters = 5;
 
@@ -41,9 +33,6 @@ struct DocParams {
 
   /// CFPC: number of random medoids tried per cluster (maxout).
   size_t max_out = 10;
-
-  /// DOC/FASTDOC: cap on inner iterations (FASTDOC's d^2 style bound).
-  size_t max_inner_iterations = 1000;
 
   uint64_t seed = 7;
 };

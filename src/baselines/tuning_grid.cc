@@ -71,7 +71,6 @@ std::vector<TunedCandidate> TuningGrid(const std::string& name,
     for (double w : {0.05, 0.10, 0.15}) {
       for (double beta : {0.15, 0.25, 0.35}) {
         DocParams p;
-        p.variant = DocVariant::kCfpc;
         p.num_clusters = tuning.num_clusters;
         p.w = w;
         p.beta = beta;
@@ -109,12 +108,6 @@ std::vector<TunedCandidate> TuningGrid(const std::string& name,
     return grid;
   }
 
-  // Methods outside the paper's §IV-E table: single default config.
-  MethodTuning copy = tuning;
-  Result<std::unique_ptr<SubspaceClusterer>> method = MakeClusterer(name, copy);
-  if (method.ok()) {
-    grid.push_back({"default", std::move(method).value()});
-  }
   return grid;
 }
 

@@ -1,18 +1,10 @@
 #include "common/linalg.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numbers>
-#include <numeric>
 
 namespace mrcc {
-
-std::vector<double> Matrix::Row(size_t r) const {
-  assert(r < rows_);
-  return std::vector<double>(data_.begin() + r * cols_,
-                             data_.begin() + (r + 1) * cols_);
-}
 
 Matrix Matrix::Identity(size_t n) {
   Matrix m(n, n);
@@ -84,30 +76,6 @@ Matrix GivensRotation(size_t d, size_t i, size_t j, double theta) {
   return m;
 }
 
-Matrix RandomOrthonormal(size_t d, Rng& rng) {
-  // Gram-Schmidt on a Gaussian matrix yields a Haar-distributed basis up to
-  // column signs, which is plenty for generating rotated test data.
-  Matrix q(d, d);
-  for (size_t col = 0; col < d; ++col) {
-    std::vector<double> v(d);
-    for (;;) {
-      for (size_t r = 0; r < d; ++r) v[r] = rng.Normal();
-      // Orthogonalize against previous columns.
-      for (size_t prev = 0; prev < col; ++prev) {
-        double proj = 0.0;
-        for (size_t r = 0; r < d; ++r) proj += v[r] * q(r, prev);
-        for (size_t r = 0; r < d; ++r) v[r] -= proj * q(r, prev);
-      }
-      const double norm = Norm(v);
-      if (norm > 1e-8) {  // Retry on (vanishingly unlikely) degeneracy.
-        for (size_t r = 0; r < d; ++r) q(r, col) = v[r] / norm;
-        break;
-      }
-    }
-  }
-  return q;
-}
-
 Matrix RandomPlaneRotations(size_t d, size_t num_planes, Rng& rng) {
   Matrix m = Matrix::Identity(d);
   for (size_t k = 0; k < num_planes; ++k) {
@@ -118,102 +86,6 @@ Matrix RandomPlaneRotations(size_t d, size_t num_planes, Rng& rng) {
     m = GivensRotation(d, i, j, theta).Multiply(m);
   }
   return m;
-}
-
-Matrix Covariance(const Matrix& points) {
-  const size_t n = points.rows();
-  const size_t d = points.cols();
-  assert(n >= 2);
-  std::vector<double> mean(d, 0.0);
-  for (size_t r = 0; r < n; ++r)
-    for (size_t c = 0; c < d; ++c) mean[c] += points(r, c);
-  for (auto& m : mean) m /= static_cast<double>(n);
-
-  Matrix cov(d, d);
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t i = 0; i < d; ++i) {
-      const double di = points(r, i) - mean[i];
-      for (size_t j = i; j < d; ++j) {
-        cov(i, j) += di * (points(r, j) - mean[j]);
-      }
-    }
-  }
-  const double denom = static_cast<double>(n - 1);
-  for (size_t i = 0; i < d; ++i) {
-    for (size_t j = i; j < d; ++j) {
-      cov(i, j) /= denom;
-      cov(j, i) = cov(i, j);
-    }
-  }
-  return cov;
-}
-
-void SymmetricEigen(const Matrix& m, std::vector<double>* eigenvalues,
-                    Matrix* eigenvectors) {
-  assert(m.rows() == m.cols());
-  const size_t n = m.rows();
-  Matrix a = m;                    // Working copy, driven to diagonal form.
-  Matrix v = Matrix::Identity(n);  // Accumulated rotations.
-
-  constexpr int kMaxSweeps = 100;
-  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
-    // Sum of off-diagonal magnitudes; convergence test.
-    double off = 0.0;
-    for (size_t p = 0; p < n; ++p)
-      for (size_t q = p + 1; q < n; ++q) off += std::fabs(a(p, q));
-    if (off < 1e-13) break;
-
-    for (size_t p = 0; p < n; ++p) {
-      for (size_t q = p + 1; q < n; ++q) {
-        if (std::fabs(a(p, q)) < 1e-15) continue;
-        // Classic Jacobi rotation annihilating a(p, q).
-        const double theta_num = a(q, q) - a(p, p);
-        double t;
-        if (std::fabs(theta_num) < 1e-300) {
-          t = 1.0;
-        } else {
-          const double theta = theta_num / (2.0 * a(p, q));
-          t = 1.0 / (std::fabs(theta) + std::sqrt(theta * theta + 1.0));
-          if (theta < 0.0) t = -t;
-        }
-        const double c = 1.0 / std::sqrt(t * t + 1.0);
-        const double s = t * c;
-        const double tau = s / (1.0 + c);
-        const double apq = a(p, q);
-        a(p, p) -= t * apq;
-        a(q, q) += t * apq;
-        a(p, q) = 0.0;
-        a(q, p) = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-          if (i != p && i != q) {
-            const double aip = a(i, p);
-            const double aiq = a(i, q);
-            a(i, p) = aip - s * (aiq + tau * aip);
-            a(p, i) = a(i, p);
-            a(i, q) = aiq + s * (aip - tau * aiq);
-            a(q, i) = a(i, q);
-          }
-          const double vip = v(i, p);
-          const double viq = v(i, q);
-          v(i, p) = vip - s * (viq + tau * vip);
-          v(i, q) = viq + s * (vip - tau * viq);
-        }
-      }
-    }
-  }
-
-  // Sort eigenpairs by descending eigenvalue.
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](size_t x, size_t y) { return a(x, x) > a(y, y); });
-
-  eigenvalues->assign(n, 0.0);
-  *eigenvectors = Matrix(n, n);
-  for (size_t k = 0; k < n; ++k) {
-    (*eigenvalues)[k] = a(order[k], order[k]);
-    for (size_t i = 0; i < n; ++i) (*eigenvectors)(i, k) = v(i, order[k]);
-  }
 }
 
 }  // namespace mrcc

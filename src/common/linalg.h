@@ -1,10 +1,9 @@
 // Small dense linear algebra.
 //
 // Just enough for this library: rotating datasets into arbitrarily-oriented
-// subspaces (random orthonormal bases, Givens rotations), covariance
-// matrices, and a Jacobi eigensolver for symmetric matrices (ORCLUS's
-// per-cluster orientation analysis and PCA-style preprocessing).
-// Dimensionalities are small (d <= ~50), so O(d^3) routines are fine.
+// subspaces by composing Givens rotations (the generator's rotated group
+// and Dataset::Transform). Dimensionalities are small (d <= ~50), so
+// O(d^3) routines are fine.
 
 #pragma once
 
@@ -27,9 +26,6 @@ class Matrix {
 
   double& operator()(size_t r, size_t c) { return data_[r * cols_ + c]; }
   double operator()(size_t r, size_t c) const { return data_[r * cols_ + c]; }
-
-  /// The r-th row as a copy.
-  std::vector<double> Row(size_t r) const;
 
   static Matrix Identity(size_t n);
 
@@ -59,22 +55,9 @@ double Norm(const std::vector<double>& v);
 /// embedded in d dimensions. i != j, both < d.
 Matrix GivensRotation(size_t d, size_t i, size_t j, double theta);
 
-/// A Haar-ish random d x d orthonormal matrix: Gram-Schmidt on a Gaussian
-/// matrix. Deterministic given the Rng state.
-Matrix RandomOrthonormal(size_t d, Rng& rng);
-
 /// Composition of `num_planes` Givens rotations in random axis pairs with
 /// random angles — the paper's "rotated ... in random planes and degrees".
 Matrix RandomPlaneRotations(size_t d, size_t num_planes, Rng& rng);
-
-/// Sample covariance matrix of the rows of `points` (n x d). n >= 2.
-Matrix Covariance(const Matrix& points);
-
-/// Jacobi eigendecomposition of a symmetric matrix.
-/// On return, `eigenvalues` are sorted descending and the k-th column of
-/// `eigenvectors` is the unit eigenvector for eigenvalues[k].
-void SymmetricEigen(const Matrix& m, std::vector<double>* eigenvalues,
-                    Matrix* eigenvectors);
 
 }  // namespace mrcc
 

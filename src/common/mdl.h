@@ -4,8 +4,8 @@
 // relevant/irrelevant decision without a user threshold: the sorted
 // relevances are split at the position that minimizes the total description
 // length of the two partitions (equivalently, maximizes their homogeneity,
-// as the paper phrases it). The same primitive is used by CLIQUE to select
-// interesting subspaces.
+// as the paper phrases it). HARP uses the same primitive to pick each
+// cluster's relevant dims.
 
 #pragma once
 

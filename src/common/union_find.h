@@ -1,7 +1,7 @@
 // Disjoint-set (union-find) with path compression and union by rank.
 //
 // Used by MrCC's final phase to merge β-clusters that share data space into
-// correlation clusters, and by CLIQUE to connect adjacent dense units.
+// correlation clusters.
 
 #pragma once
 

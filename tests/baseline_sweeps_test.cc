@@ -7,15 +7,11 @@
 
 #include <tuple>
 
-#include "baselines/clique.h"
 #include "baselines/doc.h"
 #include "baselines/epch.h"
 #include "baselines/harp.h"
 #include "baselines/lac.h"
-#include "baselines/orclus.h"
 #include "baselines/p3c.h"
-#include "baselines/proclus.h"
-#include "baselines/statpc.h"
 #include "eval/quality.h"
 #include "test_util.h"
 
@@ -53,27 +49,6 @@ TEST_P(LacSweep, AnyBandwidthRecoversStructure) {
 INSTANTIATE_TEST_SUITE_P(Bandwidths, LacSweep,
                          ::testing::Values(1, 3, 5, 7, 9, 11));
 
-// ------------------------------------------------------------- CLIQUE --
-class CliqueSweep
-    : public ::testing::TestWithParam<std::tuple<size_t, double>> {};
-
-TEST_P(CliqueSweep, GridAndDensityChoicesStayConsistent) {
-  const auto [grid, density] = GetParam();
-  CliqueParams p;
-  p.grid_partitions = grid;
-  p.density_threshold = density;
-  Result<Clustering> r = Clique(p).Cluster(EasyData().data);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(
-      r->Validate(EasyData().data.NumPoints(), EasyData().data.NumDims())
-          .ok());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grids, CliqueSweep,
-    ::testing::Combine(::testing::Values<size_t>(4, 8, 16),
-                       ::testing::Values(0.005, 0.02, 0.08)));
-
 // ---------------------------------------------------------------- DOC --
 class DocSweep
     : public ::testing::TestWithParam<std::tuple<double, double>> {};
@@ -81,7 +56,6 @@ class DocSweep
 TEST_P(DocSweep, BoxWidthAndBetaRecoverStructure) {
   const auto [w, beta] = GetParam();
   DocParams p;
-  p.variant = DocVariant::kCfpc;
   p.num_clusters = 3;
   p.w = w;
   p.beta = beta;
@@ -132,38 +106,6 @@ TEST_P(P3cSweep, PoissonThresholdsStayConsistent) {
 INSTANTIATE_TEST_SUITE_P(Thresholds, P3cSweep,
                          ::testing::Values(1e-1, 1e-3, 1e-5, 1e-10, 1e-15));
 
-// ------------------------------------------------------------ PROCLUS --
-class ProclusSweep : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(ProclusSweep, AverageDimensionalityRecoversStructure) {
-  ProclusParams p;
-  p.num_clusters = 3;
-  p.avg_dims = GetParam();
-  ExpectConsistent(Proclus(p).Cluster(EasyData().data), 0.45,
-                   "l=" + std::to_string(GetParam()));
-}
-
-INSTANTIATE_TEST_SUITE_P(AvgDims, ProclusSweep,
-                         ::testing::Values<size_t>(2, 4, 6, 7));
-
-// ------------------------------------------------------------- ORCLUS --
-class OrclusSweep
-    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
-
-TEST_P(OrclusSweep, SeedFactorAndSubspaceDimsStayConsistent) {
-  const auto [factor, dims] = GetParam();
-  OrclusParams p;
-  p.num_clusters = 3;
-  p.seed_factor = factor;
-  p.subspace_dims = dims;
-  ExpectConsistent(Orclus(p).Cluster(EasyData().data), 0.4, "ORCLUS sweep");
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, OrclusSweep,
-    ::testing::Combine(::testing::Values<size_t>(2, 5, 8),
-                       ::testing::Values<size_t>(2, 4, 6)));
-
 // --------------------------------------------------------------- HARP --
 class HarpSweep : public ::testing::TestWithParam<int> {};
 
@@ -178,23 +120,6 @@ TEST_P(HarpSweep, LooseningSchedulesRecoverStructure) {
 
 INSTANTIATE_TEST_SUITE_P(Schedules, HarpSweep,
                          ::testing::Values(0, 4, 10, 20));
-
-// ------------------------------------------------------------- STATPC --
-class StatpcSweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(StatpcSweep, WindowSizesStayConsistent) {
-  StatpcParams p;
-  p.window = GetParam();
-  p.num_anchors = 80;
-  Result<Clustering> r = Statpc(p).Cluster(EasyData().data);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(
-      r->Validate(EasyData().data.NumPoints(), EasyData().data.NumDims())
-          .ok());
-}
-
-INSTANTIATE_TEST_SUITE_P(Windows, StatpcSweep,
-                         ::testing::Values(0.03, 0.06, 0.12));
 
 }  // namespace
 }  // namespace mrcc

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "test_util.h"
 
 namespace mrcc {
@@ -11,21 +9,11 @@ namespace {
 
 TEST(FactoryTest, AllMethodsConstruct) {
   MethodTuning tuning;
-  for (const std::string& name : AllMethodNames()) {
+  for (const std::string& name : PaperMethodNames()) {
     auto method = MakeClusterer(name, tuning);
     ASSERT_TRUE(method.ok()) << name;
     EXPECT_EQ((*method)->name(), name);
   }
-}
-
-TEST(FactoryTest, PaperMethodsAreSubsetOfAll) {
-  const auto all = AllMethodNames();
-  for (const std::string& name : PaperMethodNames()) {
-    EXPECT_NE(std::find(all.begin(), all.end(), name), all.end()) << name;
-  }
-  // MrCC plus the five competitors of §IV.
-  EXPECT_EQ(PaperMethodNames().size(), 6u);
-  EXPECT_EQ(PaperMethodNames().front(), "MrCC");
 }
 
 TEST(FactoryTest, UnknownNameRejected) {

@@ -10,11 +10,6 @@ namespace {
 
 TEST(DocTest, NamesFollowVariant) {
   DocParams p;
-  p.variant = DocVariant::kDoc;
-  EXPECT_EQ(Doc(p).name(), "DOC");
-  p.variant = DocVariant::kFastDoc;
-  EXPECT_EQ(Doc(p).name(), "FastDOC");
-  p.variant = DocVariant::kCfpc;
   EXPECT_EQ(Doc(p).name(), "CFPC");
 }
 
@@ -27,18 +22,6 @@ TEST(DocTest, CfpcRecoversEasyClusters) {
   ASSERT_TRUE(r.ok());
   const QualityReport q = EvaluateClustering(*r, ds.truth);
   EXPECT_GT(q.quality, 0.7);
-}
-
-TEST(DocTest, MonteCarloVariantAlsoRecovers) {
-  LabeledDataset ds = testing::SmallClustered(4000, 6, 2, 202);
-  DocParams p;
-  p.variant = DocVariant::kFastDoc;
-  p.num_clusters = 2;
-  Doc fastdoc(p);
-  Result<Clustering> r = fastdoc.Cluster(ds.data);
-  ASSERT_TRUE(r.ok());
-  const QualityReport q = EvaluateClustering(*r, ds.truth);
-  EXPECT_GT(q.quality, 0.6);
 }
 
 TEST(DocTest, RelevantDimsAreTight) {

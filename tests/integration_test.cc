@@ -49,23 +49,35 @@ TEST(IntegrationTest, MrCCRobustOnMiniRotatedGroup) {
   }
 }
 
-// Scalability shape on points: MrCC's time must grow roughly linearly
-// (allow a generous factor-3 deviation over a 4x size range).
-TEST(IntegrationTest, MrCCTimeScalesRoughlyLinearlyInPoints) {
+// Scalability shape on points, from deterministic work counters instead of
+// wall time: the tree build reads each point exactly once (the paper's
+// single scan), no level holds more cells than points, and 4x the points
+// makes at most 4x the cells.
+TEST(IntegrationTest, MrCCTreeWorkIsLinearInPoints) {
   SyntheticConfig small = Base14dConfig(0.05);
-  SyntheticConfig large = Base14dConfig(0.20);
-  Result<LabeledDataset> ds_small = GenerateSynthetic(small);
-  Result<LabeledDataset> ds_large = GenerateSynthetic(large);
-  ASSERT_TRUE(ds_small.ok() && ds_large.ok());
-  MrCC method;
-  // Warm up (allocator, caches).
-  (void)method.Run(ds_small->data);
-  Result<MrCCResult> rs = method.Run(ds_small->data);
-  Result<MrCCResult> rl = method.Run(ds_large->data);
-  ASSERT_TRUE(rs.ok() && rl.ok());
-  const double ratio = rl->stats.total_seconds /
-                       std::max(rs->stats.total_seconds, 1e-6);
-  EXPECT_LT(ratio, 12.0);  // 4x data -> at most ~3x superlinear slack.
+  SyntheticConfig large = small;
+  large.num_points = 4 * small.num_points;
+  MrCCParams params;
+  params.num_threads = 1;
+  params.chunk_points = 1000;  // Several chunks per scan.
+  size_t total_cells[2] = {0, 0};
+  int run = 0;
+  for (const SyntheticConfig& cfg : {small, large}) {
+    Result<LabeledDataset> ds = GenerateSynthetic(cfg);
+    ASSERT_TRUE(ds.ok());
+    Result<MrCCResult> r = MrCC(params).Run(ds->data);
+    ASSERT_TRUE(r.ok());
+    const MrCCStats& stats = r->stats;
+    const size_t eta = ds->data.NumPoints();
+    ASSERT_GT(stats.chunk_points, 0u);
+    EXPECT_EQ(stats.chunks_scanned,
+              (eta + stats.chunk_points - 1) / stats.chunk_points);
+    for (size_t cells : stats.cells_per_level) total_cells[run] += cells;
+    EXPECT_LE(total_cells[run],
+              static_cast<size_t>(params.num_resolutions - 1) * eta);
+    ++run;
+  }
+  EXPECT_LE(total_cells[1], 4 * total_cells[0]);
 }
 
 // Memory: the Counting-tree footprint must grow linearly in H.

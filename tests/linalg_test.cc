@@ -77,13 +77,6 @@ TEST(GivensTest, RotationIsOrthonormalAndRotates) {
   EXPECT_NEAR(std::fabs(v[2]), 1.0, 1e-12);
 }
 
-TEST(RandomOrthonormalTest, ProducesOrthonormalBasis) {
-  Rng rng(5);
-  for (size_t d : {2, 5, 14}) {
-    ExpectOrthonormal(RandomOrthonormal(d, rng));
-  }
-}
-
 TEST(RandomPlaneRotationsTest, CompositionIsOrthonormal) {
   Rng rng(6);
   ExpectOrthonormal(RandomPlaneRotations(10, 4, rng));
@@ -94,73 +87,6 @@ TEST(RandomPlaneRotationsTest, PreservesVectorNorms) {
   const Matrix rot = RandomPlaneRotations(6, 4, rng);
   std::vector<double> v{0.3, -0.2, 0.9, 0.1, 0.0, 0.5};
   EXPECT_NEAR(Norm(rot.Apply(v)), Norm(v), 1e-12);
-}
-
-TEST(CovarianceTest, KnownTwoDimensionalCase) {
-  // Points: (0,0), (2,2), (0,2), (2,0) -> var = 4/3 per axis, cov = 0.
-  Matrix pts(4, 2);
-  pts(1, 0) = 2;
-  pts(1, 1) = 2;
-  pts(2, 1) = 2;
-  pts(3, 0) = 2;
-  const Matrix cov = Covariance(pts);
-  EXPECT_NEAR(cov(0, 0), 4.0 / 3.0, 1e-12);
-  EXPECT_NEAR(cov(1, 1), 4.0 / 3.0, 1e-12);
-  EXPECT_NEAR(cov(0, 1), 0.0, 1e-12);
-}
-
-TEST(EigenTest, DiagonalMatrix) {
-  Matrix m(3, 3);
-  m(0, 0) = 1.0;
-  m(1, 1) = 5.0;
-  m(2, 2) = 3.0;
-  std::vector<double> values;
-  Matrix vectors;
-  SymmetricEigen(m, &values, &vectors);
-  EXPECT_NEAR(values[0], 5.0, 1e-10);
-  EXPECT_NEAR(values[1], 3.0, 1e-10);
-  EXPECT_NEAR(values[2], 1.0, 1e-10);
-  ExpectOrthonormal(vectors);
-}
-
-TEST(EigenTest, KnownTwoByTwo) {
-  // [[2,1],[1,2]] -> eigenvalues 3 and 1.
-  Matrix m(2, 2);
-  m(0, 0) = 2;
-  m(0, 1) = 1;
-  m(1, 0) = 1;
-  m(1, 1) = 2;
-  std::vector<double> values;
-  Matrix vectors;
-  SymmetricEigen(m, &values, &vectors);
-  EXPECT_NEAR(values[0], 3.0, 1e-10);
-  EXPECT_NEAR(values[1], 1.0, 1e-10);
-  // Eigenvector for 3 is (1,1)/sqrt(2) up to sign.
-  EXPECT_NEAR(std::fabs(vectors(0, 0)), std::numbers::sqrt2 / 2.0, 1e-9);
-}
-
-TEST(EigenTest, ReconstructsRandomSymmetricMatrix) {
-  Rng rng(12);
-  const size_t n = 8;
-  Matrix m(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i; j < n; ++j) {
-      m(i, j) = rng.Uniform(-1.0, 1.0);
-      m(j, i) = m(i, j);
-    }
-  }
-  std::vector<double> values;
-  Matrix vectors;
-  SymmetricEigen(m, &values, &vectors);
-  ExpectOrthonormal(vectors, 1e-8);
-  // Reconstruct A = V diag(values) V^T.
-  Matrix lambda(n, n);
-  for (size_t i = 0; i < n; ++i) lambda(i, i) = values[i];
-  const Matrix rebuilt =
-      vectors.Multiply(lambda).Multiply(vectors.Transpose());
-  EXPECT_LT(rebuilt.DistanceFrom(m), 1e-8);
-  // Values sorted descending.
-  for (size_t i = 1; i < n; ++i) EXPECT_GE(values[i - 1], values[i]);
 }
 
 }  // namespace

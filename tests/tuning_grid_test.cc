@@ -43,13 +43,6 @@ TEST(TuningGridTest, UnknownMethodYieldsEmptyGrid) {
   EXPECT_TRUE(TuningGrid("NoSuchMethod", tuning).empty());
 }
 
-TEST(TuningGridTest, NonPaperMethodsGetDefaultEntry) {
-  MethodTuning tuning;
-  const auto grid = TuningGrid("PROCLUS", tuning);
-  ASSERT_EQ(grid.size(), 1u);
-  EXPECT_EQ(grid[0].label, "default");
-}
-
 TEST(TuningGridTest, EveryLacCandidateRuns) {
   LabeledDataset ds = testing::SmallClustered(1500, 6, 2, 808);
   MethodTuning tuning;
