@@ -98,12 +98,11 @@ void BM_FullMaskConvolve(benchmark::State& state) {
 }
 BENCHMARK(BM_FullMaskConvolve)->DenseRange(2, 12, 2);
 
-// ---- Data layout (DESIGN.md §12): SoA arena sweeps versus the pointer
-// walks they replaced, and the per-level hash index the batched
-// convolution runs on.
+// ---- Data layout (DESIGN.md §12): level sweeps and the per-level keyed
+// cell table the batched convolution runs on.
 
-// Batched convolution over a whole level in arena order — the β-search
-// hot path (LevelIndex face-neighbor probes, simd-seeded center terms).
+// Batched convolution over a whole level in cell order — the β-search
+// hot path (key-table face-neighbor probes, simd-seeded center terms).
 // O(d) per cell: items/s should fall about linearly in d, including past
 // one key word (30d and 62d take 2 and 3 words at level 3).
 void BM_LayoutFaceConvolveLevel(benchmark::State& state) {
@@ -124,28 +123,8 @@ void BM_LayoutFaceConvolveLevel(benchmark::State& state) {
 }
 BENCHMARK(BM_LayoutFaceConvolveLevel)->Arg(8)->Arg(14)->Arg(30)->Arg(62);
 
-// Same probes through the tree's root-to-level descent, the path the
-// batched form replaced: O(level * d) per probe instead of O(d).
-void BM_LayoutFindCellDescent(benchmark::State& state) {
-  const size_t d = static_cast<size_t>(state.range(0));
-  const LabeledDataset ds = MakeData(20000, d);
-  auto tree = CountingTree::Build(ds.data, 4);
-  const CountingTree::LevelView level = tree->Level(3);
-  std::vector<uint64_t> coords(d);
-  CountingTree::CellRef ref;
-  for (auto _ : state) {
-    for (uint32_t i = 0; i < level.num_cells(); ++i) {
-      level.CoordsInto(i, coords.data());
-      benchmark::DoNotOptimize(tree->FindCell(3, coords, &ref));
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(level.num_cells()));
-}
-BENCHMARK(BM_LayoutFindCellDescent)->Arg(8)->Arg(14);
-
-// LevelIndex probes alone: the flat O(d) hash lookup feeding the range
-// convolutions.
+// Coordinate lookups alone: the O(d) key-table probe behind FindCell and
+// the β-search's parent lookups.
 void BM_LayoutLevelIndexFind(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
   const LabeledDataset ds = MakeData(20000, d);

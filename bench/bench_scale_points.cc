@@ -178,6 +178,7 @@ void RunSourceComparison(const mrcc::bench::BenchOptions& options,
       entry.quality = quality.quality;
       entry.subspace_quality = quality.subspace_quality;
       entry.clusters_found = r->clustering.NumClusters();
+      entry.counters = CountersOf(r->stats);
       recorder->Add(entry);
       std::printf("%8s %6zu %10.3f %10.3f %12llu %8llu %10.3f\n",
                   source_name.c_str(), depth, r->stats.tree_build_seconds,

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
-#include <memory>
 
 #include "common/check.h"
 #include "common/failpoint.h"
@@ -42,11 +41,11 @@ namespace {
 // The β-cluster search engine. Convolution responses are static per cell
 // (point counts never change), so each level is convolved exactly once and
 // cached; sweeps then only rescan eligibility (usedCell, box overlap).
-// Cells are addressed by their packed arena index throughout — the level
-// arena *is* the enumeration, so the caches are plain parallel arrays and
-// every lookup (face neighbor, parent, growth probe) goes through a
-// per-level LevelIndex — O(1) per face neighbor, O(d) per coordinate
-// lookup — instead of an O(level * d) root descent.
+// Cells are addressed by their packed index throughout — the level's cell
+// order *is* the enumeration, so the caches are plain parallel arrays and
+// every lookup (face neighbor, parent, growth probe) goes through the
+// tree's own keyed level table — O(1) per face neighbor, O(d) per
+// coordinate lookup — with nothing to build first.
 class BetaClusterFinder {
  public:
   BetaClusterFinder(CountingTree& tree, const BetaFinderOptions& options)
@@ -91,26 +90,12 @@ class BetaClusterFinder {
  private:
   struct LevelData {
     bool ready = false;  // Convolution responses cached?
-    std::vector<int64_t> conv;  // One response per cell (arena order).
-    std::unique_ptr<LevelIndex> index;  // key -> cell, built lazily.
+    std::vector<int64_t> conv;  // One response per cell (packed order).
   };
 
-  // key -> cell table of level h; built on first use (parent-level
-  // lookups need it one level before the convolution sweep gets there).
-  // Serial construction — the table layout must not depend on threads.
-  const LevelIndex& EnsureIndex(int h) {
-    LevelData& level = levels_[static_cast<size_t>(h)];
-    if (level.index == nullptr) {
-      MRCC_TRACE_SPAN_N("beta.index_build", h);
-      level.index = std::make_unique<LevelIndex>(tree_.Level(h));
-    }
-    return *level.index;
-  }
-
-  // Convolves every cell of level h once and caches the responses. The
-  // index build is serial and cheap; the Laplacian responses — the
-  // expensive part — are computed in parallel, each worker filling a
-  // disjoint slice of the response array and summing its own probe count.
+  // Convolves every cell of level h once and caches the responses, in
+  // parallel: each worker fills a disjoint slice of the response array
+  // and sums its own probe count.
   Status EnsureLevel(int h) {
     MRCC_DCHECK_GE(h, 2);
     MRCC_DCHECK_LT(static_cast<size_t>(h), levels_.size());
@@ -120,7 +105,7 @@ class BetaClusterFinder {
     MRCC_RETURN_IF_ERROR(fp::Maybe("beta.search.alloc"));
     MRCC_TRACE_SPAN_N("beta.convolve", h);
     const CountingTree::LevelView view = tree_.Level(h);
-    const LevelIndex& index = EnsureIndex(h);
+    const LevelIndex index(view);
     const size_t cells = view.num_cells();
     level.conv.assign(cells, 0);
     std::atomic<uint64_t> probes{0};
@@ -155,8 +140,8 @@ class BetaClusterFinder {
   int64_t SelectBestCell(int h, const std::vector<BetaCluster>& betas) {
     MRCC_TRACE_SPAN_N("beta.argmax", h);
     const LevelData& level = levels_[static_cast<size_t>(h)];
-    const LevelIndex& index = *level.index;
-    const uint8_t* used = tree_.Level(h).used().data();
+    const CountingTree::LevelView view = tree_.Level(h);
+    const uint8_t* used = view.used().data();
     const int64_t* conv = level.conv.data();
     const double width = std::ldexp(1.0, -h);  // Cell side 1/2^h.
     const int num_threads = pool_.num_threads();
@@ -183,7 +168,7 @@ class BetaClusterFinder {
             for (size_t i = b; i < b_end; ++i) {
               if (used[i]) continue;
               if (conv[i] <= best_val && best >= 0) continue;
-              index.CoordsInto(static_cast<uint32_t>(i), coords.data());
+              view.CoordsInto(static_cast<uint32_t>(i), coords.data());
               if (SharesSpaceWithAny(coords.data(), width, betas)) continue;
               best = static_cast<int64_t>(i);
               best_val = conv[i];
@@ -232,15 +217,15 @@ class BetaClusterFinder {
     MRCC_TRACE_SPAN_N("beta.test", h);
     ++stats_.candidates_tested;
     stats_.binomial_tests += d_;
-    const LevelIndex& index = *levels_[static_cast<size_t>(h)].index;
+    const CountingTree::LevelView view = tree_.Level(h);
     std::vector<uint64_t> coords(d_);
-    index.CoordsInto(center, coords.data());
+    view.CoordsInto(center, coords.data());
     // Parent cell a_{h-1} and its per-axis face neighbors at level h-1.
-    const LevelIndex& parent_index = EnsureIndex(h - 1);
-    const uint32_t* parent_counts = tree_.Level(h - 1).counts().data();
+    const CountingTree::LevelView parent_view = tree_.Level(h - 1);
+    const uint32_t* parent_counts = parent_view.counts().data();
     std::vector<uint64_t> parent_coords(d_);
     for (size_t j = 0; j < d_; ++j) parent_coords[j] = coords[j] >> 1;
-    const int64_t parent = parent_index.Find(parent_coords.data());
+    const int64_t parent = parent_view.Find(parent_coords.data());
     // The center cell's ancestor always exists in a structurally valid
     // tree; a miss here means the tree is corrupt.
     MRCC_CHECK(parent >= 0);
@@ -256,9 +241,9 @@ class BetaClusterFinder {
       // (the paper's internal + external neighbors); together they form six
       // consecutive half-cell regions along e_j.
       const int64_t below =
-          parent_index.FaceNeighborOf(parent_ref.index, j, -1);
+          parent_view.FaceNeighborOf(parent_ref.index, j, -1);
       const int64_t above =
-          parent_index.FaceNeighborOf(parent_ref.index, j, +1);
+          parent_view.FaceNeighborOf(parent_ref.index, j, +1);
       np[j] = static_cast<int64_t>(parent_n) +
               (below >= 0 ? parent_counts[below] : 0) +
               (above >= 0 ? parent_counts[above] : 0);
@@ -316,7 +301,7 @@ class BetaClusterFinder {
     out->upper.assign(d_, 1.0);
     out->level = h;
 
-    const uint32_t* counts = tree_.Level(h).counts().data();
+    const uint32_t* counts = view.counts().data();
     out->center_count = counts[center];
     // Growth floor: the paper grows toward any neighbor "containing at
     // least one point"; we additionally require a non-negligible share of
@@ -332,9 +317,9 @@ class BetaClusterFinder {
       out->relevant[j] = true;
       double lo = static_cast<double>(coords[j]) * width;
       double hi = lo + width;
-      const int64_t below = index.FaceNeighborOf(center, j, -1);
+      const int64_t below = view.FaceNeighborOf(center, j, -1);
       if (below >= 0 && counts[below] >= growth_floor) lo -= width;
-      const int64_t above = index.FaceNeighborOf(center, j, +1);
+      const int64_t above = view.FaceNeighborOf(center, j, +1);
       if (above >= 0 && counts[above] >= growth_floor) hi += width;
       out->lower[j] = std::max(0.0, lo);
       out->upper[j] = std::min(1.0, hi);

@@ -76,7 +76,7 @@ struct BetaSearchStats {
   /// 2..H-1, each convolved exactly once).
   uint64_t cells_convolved = 0;
 
-  /// LevelIndex table lookups issued by those convolutions: at most 2d
+  /// Level-table lookups issued by those convolutions: at most 2d
   /// per convolved cell with the face-only mask (neighbors off the cube
   /// need none). Deterministic — independent of thread count.
   uint64_t index_probes = 0;

@@ -1,11 +1,10 @@
 #include "core/counting_tree.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 #include <string>
-#include <unordered_set>
 
 #include "common/check.h"
 #include "common/simd.h"
@@ -13,10 +12,10 @@
 namespace mrcc {
 namespace {
 
-// Debug-build hook shared by Builder::Finish and MergeTree: a structural
-// violation at these points is a construction bug, so abort with the
-// invariant's message rather than return a Status the caller would have
-// to treat as an input error.
+// Debug-build hook shared by Builder::Finish, Seal and DropDeepestLevel: a
+// structural violation at these points is a construction bug, so abort
+// with the invariant's message rather than return a Status the caller
+// would have to treat as an input error.
 void DCheckInvariants(const CountingTree& tree) {
 #ifndef NDEBUG
   const Status v = tree.ValidateInvariants();
@@ -29,70 +28,94 @@ void DCheckInvariants(const CountingTree& tree) {
 #endif
 }
 
-// splitmix64 finalizer — strong enough to spread consecutive loc codes
-// over the power-of-two table.
-inline uint64_t HashLoc(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
+// R_j of the additive hash, drawn from a SplitMix64 sequence.
+constexpr std::array<uint64_t, CountingTree::kMaxDims> MakeAxisMultipliers() {
+  std::array<uint64_t, CountingTree::kMaxDims> r{};
+  uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (uint64_t& m : r) {
+    state += 0x9e3779b97f4a7c15ull;
+    uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    m = (z ^ (z >> 31)) | 1;
+  }
+  return r;
+}
+
+// Scatters `in` (stride values per cell) to position pos[i] of a fresh,
+// exactly sized vector.
+template <typename T>
+void Permute(std::vector<T>* v, const std::vector<uint32_t>& pos,
+             size_t stride) {
+  std::vector<T> out(v->size());
+  for (size_t i = 0; i < pos.size(); ++i) {
+    std::memcpy(&out[static_cast<size_t>(pos[i]) * stride], &(*v)[i * stride],
+                stride * sizeof(T));
+  }
+  *v = std::move(out);
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// LocMap: flat open-addressing loc -> cell table (linear probing).
+// LevelTable: the keyed cell table of one level.
 
-void CountingTree::LocMap::Reserve(size_t entries) {
-  size_t cap = 16;
-  while (cap < entries * 2) cap <<= 1;
-  if (cap <= keys_.size()) return;
-  std::vector<uint64_t> old_keys = std::move(keys_);
-  std::vector<uint32_t> old_vals = std::move(vals_);
-  keys_.assign(cap, kEmpty);
-  vals_.assign(cap, 0);
-  size_ = 0;
-  for (size_t i = 0; i < old_keys.size(); ++i) {
-    if (old_keys[i] != kEmpty) Insert(old_keys[i], old_vals[i]);
-  }
-}
+const std::array<uint64_t, CountingTree::kMaxDims>
+    CountingTree::kAxisMultiplier = MakeAxisMultipliers();
 
-void CountingTree::LocMap::Grow() { Reserve(keys_.empty() ? 8 : size_ + 1); }
-
-void CountingTree::LocMap::Insert(uint64_t loc, uint32_t cell) {
-  if ((size_ + 1) * 2 > keys_.size()) Grow();
-  const size_t mask = keys_.size() - 1;
-  size_t idx = HashLoc(loc) & mask;
-  while (keys_[idx] != kEmpty) {
-    if (keys_[idx] == loc) {
-      vals_[idx] = cell;
-      return;
+uint64_t CountingTree::LevelTable::PackKey(const uint64_t* coords, size_t d,
+                                           uint64_t* key) const {
+  uint64_t hash = 0;
+  for (size_t w = 0, j = 0; w < words; ++w) {
+    uint64_t word = 0;
+    for (size_t f = 0; f < fields && j < d; ++f, ++j) {
+      word |= coords[j] << (f * static_cast<size_t>(level));
+      hash += coords[j] * kAxisMultiplier[j];
     }
-    idx = (idx + 1) & mask;
+    key[w] = word;
   }
-  keys_[idx] = loc;
-  vals_[idx] = cell;
-  ++size_;
+  return hash;
 }
 
-int64_t CountingTree::LocMap::Find(uint64_t loc) const {
-  if (keys_.empty()) return -1;
-  const size_t mask = keys_.size() - 1;
-  size_t idx = HashLoc(loc) & mask;
-  while (keys_[idx] != kEmpty) {
-    if (keys_[idx] == loc) return static_cast<int64_t>(vals_[idx]);
-    idx = (idx + 1) & mask;
-  }
-  return -1;
+void CountingTree::LevelTable::ReserveSlots(size_t cells) {
+  size_t cap = 16;
+  while (cap < cells * 2) cap <<= 1;
+  if (cap <= slots.size()) return;
+  slots.assign(cap, kEmptySlot);
+  for (uint32_t i = 0; i < size(); ++i) InsertSlot(i);
 }
 
-size_t CountingTree::LocMap::MemoryBytes() const {
-  return keys_.capacity() * sizeof(uint64_t) +
-         vals_.capacity() * sizeof(uint32_t);
+void CountingTree::LevelTable::InsertSlot(uint32_t cell) {
+  const size_t mask = slots.size() - 1;
+  size_t s = HomeSlot(Record(cell)[0]);
+  while (slots[s] != kEmptySlot) s = (s + 1) & mask;
+  slots[s] = cell;
+}
+
+size_t CountingTree::LevelTable::MemoryBytes() const {
+  return keys.capacity() * sizeof(uint64_t) + n.capacity() * sizeof(uint32_t) +
+         child.capacity() * sizeof(int32_t) + used.capacity() +
+         owner.capacity() * sizeof(uint32_t) +
+         half.capacity() * sizeof(uint32_t) +
+         slots.capacity() * sizeof(uint32_t);
 }
 
 // ---------------------------------------------------------------------------
 // Construction.
+
+CountingTree::CountingTree(size_t num_dims, int num_resolutions)
+    : num_dims_(num_dims),
+      num_resolutions_(num_resolutions),
+      levels_(static_cast<size_t>(num_resolutions)) {
+  for (int h = 1; h < num_resolutions; ++h) {
+    LevelTable& t = levels_[static_cast<size_t>(h)];
+    t.level = h;
+    t.fields = 64 / static_cast<size_t>(h);
+    t.words = (num_dims + t.fields - 1) / t.fields;
+    t.field_mask = (uint64_t{1} << h) - 1;
+    t.ReserveSlots(0);
+  }
+}
 
 CountingTree::Builder::Builder(size_t num_dims, int num_resolutions) {
   if (num_resolutions < 3) {
@@ -108,30 +131,17 @@ CountingTree::Builder::Builder(size_t num_dims, int num_resolutions) {
   // paper likewise allows truncating the tree to fit resources.
   const int h_effective = std::min(num_resolutions, kMaxResolutions + 1);
   tree_.reset(new CountingTree(num_dims, h_effective));
-  tree_->by_level_.resize(static_cast<size_t>(h_effective));
-  tree_->arenas_.resize(static_cast<size_t>(h_effective));
-  tree_->NewNode(1, std::vector<uint64_t>(num_dims, 0));
+  tree_->nodes_.push_back(Node{});  // The root: level 1, no cells yet.
 }
 
 Status CountingTree::Builder::Add(std::span<const double> point) {
   MRCC_RETURN_IF_ERROR(status_);
-  if (point.size() != tree_->num_dims_) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
-  for (double v : point) {
-    if (!(v >= 0.0 && v < 1.0)) {
-      return Status::InvalidArgument(
-          "points must be normalized to [0,1)^d before insertion");
-    }
-  }
-  tree_->InsertPoint(point);
-  return Status::OK();
+  return tree_->Insert(point);
 }
 
 Result<CountingTree> CountingTree::Builder::Finish() && {
   MRCC_RETURN_IF_ERROR(status_);
-  tree_->Pack();
-  DCheckInvariants(*tree_);
+  tree_->Seal();
   return std::move(*tree_);
 }
 
@@ -145,7 +155,7 @@ Status CountingTree::Insert(std::span<const double> point) {
           "points must be normalized to [0,1)^d before insertion");
     }
   }
-  if (packed_) Unpack();
+  packed_ = false;
   InsertPoint(point);
   return Status::OK();
 }
@@ -186,46 +196,23 @@ Result<CountingTree> CountingTree::Build(const Dataset& data,
   return std::move(builder).Finish();
 }
 
-int64_t CountingTree::FindInNode(const Node& node, uint64_t loc) const {
-  if (node.index != nullptr) return node.index->Find(loc);
-  const Arena& arena = arenas_[static_cast<size_t>(node.level)];
-  if (packed_) {
-    // Packed small node: its locs are one contiguous slice — a vector
-    // compare-scan beats any hash below kIndexThreshold entries.
-    const int64_t off =
-        simd::FindU64(arena.loc.data() + node.first, node.count, loc);
-    return off < 0 ? -1 : static_cast<int64_t>(node.first) + off;
+uint32_t CountingTree::AppendCell(int h, const uint64_t* record,
+                                  uint32_t owner, int32_t child) {
+  LevelTable& t = levels_[static_cast<size_t>(h)];
+  const auto cell = static_cast<uint32_t>(t.size());
+  t.keys.insert(t.keys.end(), record, record + t.words + 1);
+  t.n.push_back(0);
+  t.child.push_back(child);
+  t.used.push_back(0);
+  t.owner.push_back(owner);
+  t.half.resize(t.half.size() + num_dims_, 0);
+  nodes_[owner].count += 1;
+  if ((t.size() * 2) > t.slots.size()) {
+    t.ReserveSlots(t.size());  // Rehashes every record, this one included.
+  } else {
+    t.InsertSlot(cell);
   }
-  for (uint32_t id : node.cell_ids) {
-    if (arena.loc[id] == loc) return static_cast<int64_t>(id);
-  }
-  return -1;
-}
-
-uint32_t CountingTree::FindOrCreateInNode(uint32_t node_idx, uint64_t loc) {
-  Node& node = nodes_[node_idx];
-  const int64_t existing = FindInNode(node, loc);
-  if (existing >= 0) return static_cast<uint32_t>(existing);
-
-  Arena& arena = arenas_[static_cast<size_t>(node.level)];
-  const uint32_t cell_idx = static_cast<uint32_t>(arena.size());
-  arena.loc.push_back(loc);
-  arena.n.push_back(0);
-  arena.child.push_back(-1);
-  arena.used.push_back(0);
-  arena.owner.push_back(node_idx);
-  arena.half.resize(arena.half.size() + num_dims_, 0);
-  node.cell_ids.push_back(cell_idx);
-  node.count += 1;
-  if (node.index != nullptr) {
-    node.index->Insert(loc, cell_idx);
-  } else if (node.count > kIndexThreshold) {
-    // The node outgrew linear search: build the loc index now.
-    node.index = std::make_unique<LocMap>();
-    node.index->Reserve(node.count * 2);
-    for (uint32_t id : node.cell_ids) node.index->Insert(arena.loc[id], id);
-  }
-  return cell_idx;
+  return cell;
 }
 
 void CountingTree::InsertPoint(std::span<const double> point) {
@@ -233,144 +220,140 @@ void CountingTree::InsertPoint(std::span<const double> point) {
   const size_t d = num_dims_;
   const int deepest = num_resolutions_ - 1;
 
-  // Binary expansion of each coordinate, one level beyond the deepest so
-  // half-space counts at the deepest level are available:
-  // bits[h-1][j] = h-th binary digit of point[j] (level-h position bit).
-  // ldexp is a pure exponent shift — exact for doubles — so the truncated
-  // integer holds all deepest+1 digits at once; digit h is bit
-  // (deepest+1-h). One scaled conversion replaces the digit-by-digit
-  // repeated-doubling loop (identical output: both read the same finite
-  // binary expansion).
-  bits_scratch_.resize(static_cast<size_t>(deepest + 1) * d);
-  uint8_t* bits = bits_scratch_.data();
+  // grid[j] holds the first deepest + 1 binary digits of point[j]: the
+  // level-h coordinate is grid[j] >> (deepest + 1 - h), and the digit
+  // below it says which half of the level-h cell the point lies in.
+  // ldexp is a pure exponent shift — exact for doubles.
+  grid_scratch_.resize(d);
+  bits_scratch_.resize(d);
+  uint64_t* grid = grid_scratch_.data();
+  uint8_t* next_bits = bits_scratch_.data();
   for (size_t j = 0; j < d; ++j) {
-    const auto grid = static_cast<uint64_t>(std::ldexp(point[j], deepest + 1));
-    for (int h = 1; h <= deepest + 1; ++h) {
-      bits[static_cast<size_t>(h - 1) * d + j] =
-          static_cast<uint8_t>((grid >> (deepest + 1 - h)) & 1);
-    }
+    grid[j] = static_cast<uint64_t>(std::ldexp(point[j], deepest + 1));
   }
 
-  uint32_t node_idx = 0;  // Root node (level-1 cells).
+  // The keys are absolute, so no level's probe waits on another's: form
+  // every level's key record first and prefetch its home slot, then the
+  // candidate cell's record and counts, so the levels' cache misses
+  // overlap instead of forming one chain.
+  record_scratch_.resize(static_cast<size_t>(deepest) * (d + 1));
   for (int h = 1; h <= deepest; ++h) {
-    const uint8_t* level_bits = bits + static_cast<size_t>(h - 1) * d;
-    const uint8_t* next_bits = bits + static_cast<size_t>(h) * d;
-
-    uint64_t loc = 0;
-    for (size_t j = 0; j < d; ++j) {
-      loc |= static_cast<uint64_t>(level_bits[j]) << j;
+    const LevelTable& t = levels_[static_cast<size_t>(h)];
+    uint64_t* rec = record_scratch_.data() + static_cast<size_t>(h - 1) * (d + 1);
+    const int shift = deepest + 1 - h;
+    uint64_t hash = 0;
+    for (size_t w = 0, j = 0; w < t.words; ++w) {
+      uint64_t word = 0;
+      for (size_t f = 0; f < t.fields && j < d; ++f, ++j) {
+        const uint64_t c = grid[j] >> shift;
+        word |= c << (f * static_cast<size_t>(h));
+        hash += c * kAxisMultiplier[j];
+      }
+      rec[1 + w] = word;
     }
+    rec[0] = hash;
+    __builtin_prefetch(&t.slots[t.HomeSlot(hash)]);
+  }
+  for (int h = 1; h <= deepest; ++h) {
+    const LevelTable& t = levels_[static_cast<size_t>(h)];
+    const uint64_t* rec =
+        record_scratch_.data() + static_cast<size_t>(h - 1) * (d + 1);
+    const uint32_t cand = t.slots[t.HomeSlot(rec[0])];
+    if (cand == LevelTable::kEmptySlot) continue;
+    __builtin_prefetch(t.Record(cand));
+    __builtin_prefetch(&t.n[cand], 1);
+    __builtin_prefetch(&t.half[static_cast<size_t>(cand) * d], 1);
+  }
 
-    const uint32_t cell_idx = FindOrCreateInNode(node_idx, loc);
-    Arena& arena = arenas_[static_cast<size_t>(h)];
-    arena.n[cell_idx] += 1;
+  uint32_t node = 0;   // Root node (level-1 cells).
+  bool fresh = false;  // A new cell has no descendants to find.
+  for (int h = 1; h <= deepest; ++h) {
+    LevelTable& t = levels_[static_cast<size_t>(h)];
+    const uint64_t* rec =
+        record_scratch_.data() + static_cast<size_t>(h - 1) * (d + 1);
+    int64_t found = fresh ? -1 : t.Find(rec[0], rec + 1);
+    if (found < 0) {
+      fresh = true;
+      int32_t child = -1;
+      if (h < deepest) {
+        // The point that creates a cell creates its child node too, so
+        // node creation order follows parent-cell creation order.
+        child = static_cast<int32_t>(nodes_.size());
+        nodes_.push_back(Node{h + 1, 0, 0});
+      }
+      found = AppendCell(h, rec, node, child);
+    }
+    const auto cell = static_cast<size_t>(found);
+    t.n[cell] += 1;
     // The point is in the lower half of this cell along e_j exactly when
-    // its next-level bit is 0.
-    simd::IncrementWhereZero(&arena.half[static_cast<size_t>(cell_idx) * d],
-                             next_bits, d);
-
-    if (h < deepest) {
-      int32_t child = arena.child[cell_idx];
-      if (child < 0) {
-        std::vector<uint64_t> child_base(d);
-        const Node& node = nodes_[node_idx];
-        for (size_t j = 0; j < d; ++j) {
-          child_base[j] = node.base_coords[j] * 2 + ((loc >> j) & 1);
-        }
-        child = static_cast<int32_t>(NewNode(h + 1, std::move(child_base)));
-        arenas_[static_cast<size_t>(h)].child[cell_idx] = child;
-      }
-      node_idx = static_cast<uint32_t>(child);
-      // Pull the next level's node header (and its sibling-loc list) into
-      // cache while this level's bookkeeping retires.
-      const Node& next = nodes_[node_idx];
-      __builtin_prefetch(&next);
-      if (!next.cell_ids.empty()) {
-        __builtin_prefetch(next.cell_ids.data());
-      }
+    // its next digit is 0.
+    const int shift = deepest - h;
+    for (size_t j = 0; j < d; ++j) {
+      next_bits[j] = static_cast<uint8_t>((grid[j] >> shift) & 1);
     }
+    simd::IncrementWhereZero(&t.half[cell * d], next_bits, d);
+    if (h < deepest) node = static_cast<uint32_t>(t.child[cell]);
   }
   ++total_points_;
 }
 
-uint32_t CountingTree::NewNode(int level, std::vector<uint64_t> base_coords) {
-  const uint32_t idx = static_cast<uint32_t>(nodes_.size());
-  Node node;
-  node.level = level;
-  node.base_coords = std::move(base_coords);
-  nodes_.push_back(std::move(node));
-  by_level_[static_cast<size_t>(level)].push_back(idx);
-  return idx;
-}
-
 // ---------------------------------------------------------------------------
-// Pack / Unpack: the canonical-order lifecycle (see the header comment).
+// Pack: the canonical-order lifecycle (see the header comment).
 
 void CountingTree::Pack() {
-  const size_t d = num_dims_;
-  std::vector<uint32_t> order;  // order[new index] = old arena index.
+  // Node slices: each level's nodes tile it in pool (creation) order.
+  std::vector<uint32_t> next(nodes_.size());
+  std::vector<uint32_t> running(levels_.size(), 0);
+  for (size_t m = 0; m < nodes_.size(); ++m) {
+    Node& node = nodes_[m];
+    uint32_t& at = running[static_cast<size_t>(node.level)];
+    node.first = at;
+    next[m] = at;
+    at += node.count;
+  }
+  std::vector<uint32_t> pos;  // pos[old index] = canonical index.
   for (int h = 1; h < num_resolutions_; ++h) {
-    Arena& arena = arenas_[static_cast<size_t>(h)];
-    const size_t n_cells = arena.size();
-    order.clear();
-    order.reserve(n_cells);
-    for (uint32_t node_idx : by_level_[static_cast<size_t>(h)]) {
-      Node& node = nodes_[node_idx];
-      node.first = static_cast<uint32_t>(order.size());
-      for (uint32_t id : node.cell_ids) order.push_back(id);
+    LevelTable& t = levels_[static_cast<size_t>(h)];
+    MRCC_DCHECK_EQ(running[static_cast<size_t>(h)], t.size());
+    if (t.packed_cells == t.size()) continue;  // No new cells here.
+    // A stable counting sort on the owning node: cells of one node keep
+    // their current order, which is their creation order.
+    pos.resize(t.size());
+    bool identity = true;
+    for (size_t i = 0; i < t.size(); ++i) {
+      pos[i] = next[t.owner[i]]++;
+      identity = identity && pos[i] == i;
     }
-    MRCC_DCHECK_EQ(order.size(), n_cells);
-
-    Arena packed;
-    packed.loc.resize(n_cells);
-    packed.n.resize(n_cells);
-    packed.child.resize(n_cells);
-    packed.used.resize(n_cells);
-    packed.owner.resize(n_cells);
-    packed.half.resize(n_cells * d);
-    for (size_t i = 0; i < n_cells; ++i) {
-      const uint32_t src = order[i];
-      packed.loc[i] = arena.loc[src];
-      packed.n[i] = arena.n[src];
-      packed.child[i] = arena.child[src];
-      packed.used[i] = arena.used[src];
-      packed.owner[i] = arena.owner[src];
-      std::memcpy(&packed.half[i * d], &arena.half[static_cast<size_t>(src) * d],
-                  d * sizeof(uint32_t));
-    }
-    arena = std::move(packed);
-
-    // Slices are assigned; drop the per-node id lists and rebuild the loc
-    // maps (arena indices changed under them).
-    for (uint32_t node_idx : by_level_[static_cast<size_t>(h)]) {
-      Node& node = nodes_[node_idx];
-      node.cell_ids.clear();
-      node.cell_ids.shrink_to_fit();
-      if (node.count > kIndexThreshold) {
-        node.index = std::make_unique<LocMap>();
-        node.index->Reserve(node.count * 2);
-        for (uint32_t i = 0; i < node.count; ++i) {
-          node.index->Insert(arena.loc[node.first + i], node.first + i);
-        }
-      } else {
-        node.index.reset();
+    if (identity) {
+      t.keys.shrink_to_fit();
+      t.n.shrink_to_fit();
+      t.child.shrink_to_fit();
+      t.used.shrink_to_fit();
+      t.owner.shrink_to_fit();
+      t.half.shrink_to_fit();
+    } else {
+      Permute(&t.keys, pos, t.words + 1);
+      Permute(&t.n, pos, 1);
+      Permute(&t.child, pos, 1);
+      Permute(&t.used, pos, 1);
+      Permute(&t.owner, pos, 1);
+      Permute(&t.half, pos, num_dims_);
+      for (uint32_t& slot : t.slots) {
+        if (slot != LevelTable::kEmptySlot) slot = pos[slot];
       }
     }
+    t.packed_cells = t.size();
   }
   packed_ = true;
 }
 
-void CountingTree::Unpack() {
-  for (Node& node : nodes_) {
-    node.cell_ids.resize(node.count);
-    std::iota(node.cell_ids.begin(), node.cell_ids.end(), node.first);
-    // Arena indices are unchanged, so any loc index stays valid.
-  }
-  packed_ = false;
-}
-
 // ---------------------------------------------------------------------------
 // Read API.
+
+CountingTree::LevelView::LevelView(const CountingTree* tree, int level)
+    : table_(&tree->levels_[static_cast<size_t>(level)]),
+      num_dims_(tree->num_dims_),
+      level_(level) {}
 
 CountingTree::LevelView CountingTree::Level(int h) const {
   MRCC_DCHECK(packed_);
@@ -379,83 +362,97 @@ CountingTree::LevelView CountingTree::Level(int h) const {
   return LevelView(this, h);
 }
 
-size_t CountingTree::LevelView::num_cells() const {
-  return tree_->arenas_[static_cast<size_t>(level_)].size();
-}
+size_t CountingTree::LevelView::num_cells() const { return table_->size(); }
 
-size_t CountingTree::LevelView::num_dims() const { return tree_->num_dims_; }
+size_t CountingTree::LevelView::key_words() const { return table_->words; }
 
-std::span<const uint64_t> CountingTree::LevelView::locs() const {
-  return tree_->arenas_[static_cast<size_t>(level_)].loc;
+uint64_t CountingTree::LevelView::loc(uint32_t i) const {
+  const uint64_t* key = table_->Record(i) + 1;
+  uint64_t loc = 0;
+  for (size_t w = 0, j = 0; w < table_->words; ++w) {
+    for (size_t f = 0; f < table_->fields && j < num_dims_; ++f, ++j) {
+      loc |= ((key[w] >> (f * static_cast<size_t>(level_))) & 1) << j;
+    }
+  }
+  return loc;
 }
 
 std::span<const uint32_t> CountingTree::LevelView::counts() const {
-  return tree_->arenas_[static_cast<size_t>(level_)].n;
+  return table_->n;
 }
 
 std::span<const int32_t> CountingTree::LevelView::children() const {
-  return tree_->arenas_[static_cast<size_t>(level_)].child;
+  return table_->child;
 }
 
 std::span<const uint8_t> CountingTree::LevelView::used() const {
-  return tree_->arenas_[static_cast<size_t>(level_)].used;
+  return table_->used;
 }
 
 std::span<const uint32_t> CountingTree::LevelView::half() const {
-  return tree_->arenas_[static_cast<size_t>(level_)].half;
+  return table_->half;
 }
 
 std::span<const uint32_t> CountingTree::LevelView::half_of(uint32_t i) const {
-  const size_t d = tree_->num_dims_;
-  return std::span<const uint32_t>(
-      tree_->arenas_[static_cast<size_t>(level_)].half.data() + i * d, d);
+  return std::span<const uint32_t>(table_->half.data() + i * num_dims_,
+                                   num_dims_);
 }
 
 void CountingTree::LevelView::CoordsInto(uint32_t i, uint64_t* out) const {
-  const Arena& arena = tree_->arenas_[static_cast<size_t>(level_)];
-  const Node& node = tree_->nodes_[arena.owner[i]];
-  const uint64_t loc = arena.loc[i];
-  const size_t d = tree_->num_dims_;
-  for (size_t j = 0; j < d; ++j) {
-    out[j] = node.base_coords[j] * 2 + ((loc >> j) & 1);
+  const uint64_t* key = table_->Record(i) + 1;
+  for (size_t w = 0, j = 0; w < table_->words; ++w) {
+    uint64_t word = key[w];
+    for (size_t f = 0; f < table_->fields && j < num_dims_; ++f, ++j) {
+      out[j] = word & table_->field_mask;
+      word >>= level_;
+    }
   }
 }
 
 std::vector<uint64_t> CountingTree::LevelView::Coords(uint32_t i) const {
-  std::vector<uint64_t> coords(tree_->num_dims_);
+  std::vector<uint64_t> coords(num_dims_);
   CoordsInto(i, coords.data());
   return coords;
+}
+
+int64_t CountingTree::LevelView::Find(const uint64_t* coords) const {
+  for (size_t j = 0; j < num_dims_; ++j) {
+    if (coords[j] > table_->field_mask) return -1;  // Off the cube.
+  }
+  std::array<uint64_t, kMaxDims> key;
+  const uint64_t hash = table_->PackKey(coords, num_dims_, key.data());
+  return table_->Find(hash, key.data());
 }
 
 size_t CountingTree::NumCellsAtLevel(int h) const {
   MRCC_DCHECK_GE(h, 1);
   MRCC_DCHECK_LT(h, num_resolutions_);
-  return arenas_[static_cast<size_t>(h)].size();
+  return levels_[static_cast<size_t>(h)].size();
 }
 
 uint32_t CountingTree::Count(CellRef ref) const {
-  return arenas_[static_cast<size_t>(ref.level)].n[ref.index];
+  return levels_[static_cast<size_t>(ref.level)].n[ref.index];
 }
 
 uint64_t CountingTree::Loc(CellRef ref) const {
-  return arenas_[static_cast<size_t>(ref.level)].loc[ref.index];
+  return Level(ref.level).loc(ref.index);
 }
 
 int32_t CountingTree::Child(CellRef ref) const {
-  return arenas_[static_cast<size_t>(ref.level)].child[ref.index];
+  return levels_[static_cast<size_t>(ref.level)].child[ref.index];
 }
 
 bool CountingTree::Used(CellRef ref) const {
-  return arenas_[static_cast<size_t>(ref.level)].used[ref.index] != 0;
+  return levels_[static_cast<size_t>(ref.level)].used[ref.index] != 0;
 }
 
 void CountingTree::SetUsed(CellRef ref, bool used) {
-  arenas_[static_cast<size_t>(ref.level)].used[ref.index] = used ? 1 : 0;
+  levels_[static_cast<size_t>(ref.level)].used[ref.index] = used ? 1 : 0;
 }
 
 uint32_t CountingTree::HalfCount(CellRef ref, size_t axis) const {
   MRCC_DCHECK_LT(axis, num_dims_);
-  return arenas_[static_cast<size_t>(ref.level)]
+  return levels_[static_cast<size_t>(ref.level)]
       .half[ref.index * num_dims_ + axis];
 }
 
@@ -465,31 +462,11 @@ std::vector<uint64_t> CountingTree::CellCoords(CellRef ref) const {
 
 bool CountingTree::FindCell(int level, const std::vector<uint64_t>& coords,
                             CellRef* ref) const {
-  MRCC_DCHECK_GE(level, 1);
-  MRCC_DCHECK_LT(level, num_resolutions_);
   MRCC_DCHECK_EQ(coords.size(), num_dims_);
-  uint32_t node_idx = 0;
-  for (int l = 1; l <= level; ++l) {
-    // Position bits of the level-l ancestor inside its parent.
-    uint64_t loc = 0;
-    const int shift = level - l;
-    for (size_t j = 0; j < num_dims_; ++j) {
-      loc |= ((coords[j] >> shift) & 1) << j;
-    }
-    const Node& node = nodes_[node_idx];
-    const int64_t cell_idx = FindInNode(node, loc);
-    if (cell_idx < 0) return false;
-    if (l == level) {
-      ref->level = level;
-      ref->index = static_cast<uint32_t>(cell_idx);
-      return true;
-    }
-    const int32_t child =
-        arenas_[static_cast<size_t>(l)].child[static_cast<size_t>(cell_idx)];
-    if (child < 0) return false;
-    node_idx = static_cast<uint32_t>(child);
-  }
-  return false;  // Unreachable.
+  const int64_t cell = Level(level).Find(coords.data());
+  if (cell < 0) return false;
+  *ref = CellRef{level, static_cast<uint32_t>(cell)};
+  return true;
 }
 
 bool CountingTree::FaceNeighbor(int level,
@@ -513,8 +490,8 @@ uint32_t CountingTree::FaceNeighborCount(int level,
 }
 
 void CountingTree::ResetUsedFlags() {
-  for (Arena& arena : arenas_) {
-    std::fill(arena.used.begin(), arena.used.end(), uint8_t{0});
+  for (LevelTable& t : levels_) {
+    std::fill(t.used.begin(), t.used.end(), uint8_t{0});
   }
 }
 
@@ -525,41 +502,35 @@ Status CountingTree::DropDeepestLevel() {
         "cannot drop below the paper's minimum of H = 3 resolutions");
   }
   MRCC_DCHECK(packed_);
-  // Unlink the dropped level from its parent cells, then drop its arena
+  // Unlink the dropped level from its parent cells, then drop its table
   // and compact the node pool. Compaction preserves relative order and
-  // the surviving arenas are untouched, so the result has exactly the
+  // the surviving levels are untouched, so the result has exactly the
   // layout a build with the smaller H would have produced — which keeps
   // every downstream stage bit-identical to that build.
-  std::fill(arenas_[static_cast<size_t>(deepest - 1)].child.begin(),
-            arenas_[static_cast<size_t>(deepest - 1)].child.end(),
-            int32_t{-1});
-  arenas_.pop_back();
+  std::vector<int32_t>& parents =
+      levels_[static_cast<size_t>(deepest - 1)].child;
+  std::fill(parents.begin(), parents.end(), int32_t{-1});
+  levels_.pop_back();
 
   std::vector<int32_t> remap(nodes_.size(), -1);
-  std::vector<Node> kept;
-  kept.reserve(nodes_.size() - by_level_[static_cast<size_t>(deepest)].size());
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].level >= deepest) continue;
-    remap[i] = static_cast<int32_t>(kept.size());
-    kept.push_back(std::move(nodes_[i]));
+  size_t kept = 0;
+  for (size_t m = 0; m < nodes_.size(); ++m) {
+    if (nodes_[m].level >= deepest) continue;
+    remap[m] = static_cast<int32_t>(kept);
+    nodes_[kept++] = nodes_[m];
   }
-  nodes_ = std::move(kept);
+  nodes_.resize(kept);
+  nodes_.shrink_to_fit();
   for (int h = 1; h < deepest; ++h) {
-    Arena& arena = arenas_[static_cast<size_t>(h)];
-    for (uint32_t& owner : arena.owner) {
+    LevelTable& t = levels_[static_cast<size_t>(h)];
+    for (uint32_t& owner : t.owner) {
       owner = static_cast<uint32_t>(remap[owner]);
     }
-    for (int32_t& child : arena.child) {
+    for (int32_t& child : t.child) {
       if (child >= 0) {
         child = remap[static_cast<size_t>(child)];
         MRCC_DCHECK_GE(child, 0);
       }
-    }
-  }
-  by_level_.pop_back();
-  for (std::vector<uint32_t>& level : by_level_) {
-    for (uint32_t& idx : level) {
-      idx = static_cast<uint32_t>(remap[idx]);
     }
   }
   --num_resolutions_;
@@ -576,120 +547,110 @@ Status CountingTree::ValidateInvariants() const {
   if (num_resolutions_ < 3) return fail("fewer than 3 resolutions");
   if (nodes_.empty()) return fail("no root node");
   if (!packed_) return fail("tree is not packed");
-  if (by_level_.size() != static_cast<size_t>(num_resolutions_)) {
-    return fail("by-level index has wrong resolution count");
+  if (levels_.size() != static_cast<size_t>(num_resolutions_)) {
+    return fail("level vector has wrong resolution count");
   }
-  if (arenas_.size() != static_cast<size_t>(num_resolutions_)) {
-    return fail("arena vector has wrong resolution count");
-  }
+  if (nodes_[0].level != 1) return fail("root node is not at level 1");
 
-  const Node& root = nodes_[0];
-  if (root.level != 1) return fail("root node is not at level 1");
-  for (uint64_t c : root.base_coords) {
-    if (c != 0) return fail("root base coordinates are not zero");
+  // Array-size agreement, and slice partitioning: the nodes of each level
+  // must tile it contiguously, in pool order — that is the canonical
+  // enumeration order everything downstream relies on.
+  std::vector<size_t> running(levels_.size(), 0);
+  for (size_t m = 0; m < nodes_.size(); ++m) {
+    const Node& node = nodes_[m];
+    if (node.level < 1 || node.level >= num_resolutions_) {
+      return fail("node " + std::to_string(m) + ": level " +
+                  std::to_string(node.level) + " out of range");
+    }
+    size_t& at = running[static_cast<size_t>(node.level)];
+    if (node.first != at) {
+      return fail("node " + std::to_string(m) +
+                  " slice does not start where the previous slice ended");
+    }
+    at += node.count;
   }
-
-  // Arena array-size agreement, and slice partitioning: the nodes of each
-  // level must tile its arena contiguously, in by-level order — that is
-  // the canonical enumeration order everything downstream relies on.
   for (int h = 1; h < num_resolutions_; ++h) {
-    const Arena& arena = arenas_[static_cast<size_t>(h)];
+    const LevelTable& t = levels_[static_cast<size_t>(h)];
     const std::string where = "level " + std::to_string(h) + ": ";
-    const size_t n_cells = arena.loc.size();
-    if (arena.n.size() != n_cells || arena.child.size() != n_cells ||
-        arena.used.size() != n_cells || arena.owner.size() != n_cells ||
-        arena.half.size() != n_cells * d) {
-      return fail(where + "arena arrays disagree on cell count");
+    const size_t n_cells = t.size();
+    if (t.keys.size() != n_cells * (t.words + 1) ||
+        t.child.size() != n_cells || t.used.size() != n_cells ||
+        t.owner.size() != n_cells || t.half.size() != n_cells * d) {
+      return fail(where + "cell arrays disagree on cell count");
     }
-    size_t running = 0;
-    for (uint32_t node_idx : by_level_[static_cast<size_t>(h)]) {
-      const Node& node = nodes_[node_idx];
-      if (node.first != running) {
-        return fail(where + "node " + std::to_string(node_idx) +
-                    " slice does not start where the previous slice ended");
+    if (running[static_cast<size_t>(h)] != n_cells) {
+      return fail(where + "node slices cover " +
+                  std::to_string(running[static_cast<size_t>(h)]) +
+                  " cells, level holds " + std::to_string(n_cells));
+    }
+    if (t.slots.size() < 2 * n_cells) {
+      return fail(where + "key table is over half full");
+    }
+    for (uint32_t i = 0; i < n_cells; ++i) {
+      const uint64_t* rec = t.Record(i);
+      if (t.Find(rec[0], rec + 1) != static_cast<int64_t>(i)) {
+        return fail(where + "key table does not find cell " +
+                    std::to_string(i) + " (duplicate or unindexed key)");
       }
-      running += node.count;
-    }
-    if (running != n_cells) {
-      return fail(where + "node slices cover " + std::to_string(running) +
-                  " cells, arena holds " + std::to_string(n_cells));
     }
   }
 
   // parent_refs[m]: number of cells pointing at node m as their child.
   std::vector<uint32_t> parent_refs(nodes_.size(), 0);
+  std::vector<uint64_t> coords(d), child_coords(d);
   uint64_t root_points = 0;
-  std::unordered_set<uint64_t> locs;
   for (size_t m = 0; m < nodes_.size(); ++m) {
     const Node& node = nodes_[m];
-    const std::string where = "node " + std::to_string(m) + ": ";
-    if (node.level < 1 || node.level >= num_resolutions_) {
-      return fail(where + "level " + std::to_string(node.level) +
-                  " out of range");
-    }
-    if (node.base_coords.size() != d) {
-      return fail(where + "base coordinate dimensionality mismatch");
-    }
-    const uint64_t max_base = uint64_t{1} << (node.level - 1);
-    for (uint64_t c : node.base_coords) {
-      if (c >= max_base) return fail(where + "base coordinate out of range");
-    }
-    const Arena& arena = arenas_[static_cast<size_t>(node.level)];
-    if (static_cast<size_t>(node.first) + node.count > arena.size()) {
-      return fail(where + "cell slice exceeds the level arena");
-    }
-    locs.clear();
+    const LevelView view(this, node.level);
     for (uint32_t c = 0; c < node.count; ++c) {
       const uint32_t i = node.first + c;
-      const std::string cell_where =
-          where + "cell " + std::to_string(c) + ": ";
-      if (arena.owner[i] != m) {
-        return fail(cell_where + "arena owner points at node " +
-                    std::to_string(arena.owner[i]));
+      const auto cell_where = [m, c] {
+        return "node " + std::to_string(m) + ": cell " + std::to_string(c) +
+               ": ";
+      };
+      if (view.table_->owner[i] != m) {
+        return fail(cell_where() + "owner points at node " +
+                    std::to_string(view.table_->owner[i]));
       }
-      const uint64_t loc = arena.loc[i];
-      if (d < 64 && (loc >> d) != 0) {
-        return fail(cell_where + "loc has bits above dimension " +
-                    std::to_string(d));
-      }
-      if (!locs.insert(loc).second) {
-        return fail(cell_where + "duplicate loc among siblings");
-      }
-      const uint32_t n = arena.n[i];
-      if (n == 0) return fail(cell_where + "materialized cell is empty");
+      const uint32_t n = view.counts()[i];
+      if (n == 0) return fail(cell_where() + "materialized cell is empty");
+      const std::span<const uint32_t> half = view.half_of(i);
       for (size_t j = 0; j < d; ++j) {
-        if (arena.half[i * d + j] > n) {
-          return fail(cell_where + "half-space count " +
-                      std::to_string(arena.half[i * d + j]) +
-                      " exceeds cell count " + std::to_string(n) +
-                      " on axis " + std::to_string(j));
+        if (half[j] > n) {
+          return fail(cell_where() + "half-space count " +
+                      std::to_string(half[j]) + " exceeds cell count " +
+                      std::to_string(n) + " on axis " + std::to_string(j));
         }
       }
-      const int32_t child_node = arena.child[i];
+      const int32_t child_node = view.children()[i];
       if (child_node >= 0) {
         const auto child_idx = static_cast<size_t>(child_node);
         if (child_idx >= nodes_.size()) {
-          return fail(cell_where + "dangling child pointer");
+          return fail(cell_where() + "dangling child pointer");
         }
-        if (child_idx == 0) return fail(cell_where + "root used as child");
+        if (child_idx <= m) {
+          return fail(cell_where() + "child node " + std::to_string(child_idx) +
+                      " is not created after its parent node");
+        }
         const Node& child = nodes_[child_idx];
         if (child.level != node.level + 1) {
-          return fail(cell_where + "child level is not parent level + 1");
+          return fail(cell_where() + "child level is not parent level + 1");
         }
-        bool coords_match = child.base_coords.size() == d;
-        for (size_t j = 0; coords_match && j < d; ++j) {
-          coords_match =
-              child.base_coords[j] == node.base_coords[j] * 2 + ((loc >> j) & 1);
+        view.CoordsInto(i, coords.data());
+        const LevelView child_view(this, child.level);
+        uint64_t child_sum = 0;
+        for (uint32_t k = child.first; k < child.first + child.count; ++k) {
+          child_view.CoordsInto(k, child_coords.data());
+          for (size_t j = 0; j < d; ++j) {
+            if ((child_coords[j] >> 1) != coords[j]) {
+              return fail(cell_where() + "child cell coordinates do not lie "
+                          "inside the parent cell");
+            }
+          }
+          child_sum += child_view.counts()[k];
         }
-        if (!coords_match) {
-          return fail(cell_where + "child base coordinates do not match");
-        }
-        const Arena& child_arena =
-            arenas_[static_cast<size_t>(child.level)];
-        const uint64_t child_sum =
-            simd::SumU32(child_arena.n.data() + child.first, child.count);
         if (child_sum != n) {
-          return fail(cell_where + "child counts sum to " +
+          return fail(cell_where() + "child counts sum to " +
                       std::to_string(child_sum) + ", expected " +
                       std::to_string(n));
         }
@@ -708,48 +669,16 @@ Status CountingTree::ValidateInvariants() const {
     return fail("root counts sum to " + std::to_string(root_points) +
                 ", total_points is " + std::to_string(total_points_));
   }
-
-  // Every node must be registered exactly once, at its own level.
-  std::vector<uint32_t> level_refs(nodes_.size(), 0);
-  for (size_t h = 0; h < by_level_.size(); ++h) {
-    for (uint32_t idx : by_level_[h]) {
-      if (idx >= nodes_.size()) return fail("by-level index out of range");
-      if (nodes_[idx].level != static_cast<int>(h)) {
-        return fail("node " + std::to_string(idx) +
-                    " registered at the wrong level");
-      }
-      level_refs[idx] += 1;
-    }
-  }
-  for (size_t m = 0; m < nodes_.size(); ++m) {
-    if (level_refs[m] != 1) {
-      return fail("node " + std::to_string(m) + " appears " +
-                  std::to_string(level_refs[m]) + " times in by-level index");
-    }
-  }
   return Status::OK();
 }
 
 size_t CountingTree::MemoryBytes() const {
-  size_t bytes = sizeof(*this) + nodes_.capacity() * sizeof(Node);
-  for (const Node& node : nodes_) {
-    bytes += node.base_coords.capacity() * sizeof(uint64_t);
-    bytes += node.cell_ids.capacity() * sizeof(uint32_t);
-    if (node.index != nullptr) {
-      bytes += sizeof(LocMap) + node.index->MemoryBytes();
-    }
-  }
-  for (const Arena& arena : arenas_) {
-    bytes += arena.loc.capacity() * sizeof(uint64_t);
-    bytes += arena.n.capacity() * sizeof(uint32_t);
-    bytes += arena.child.capacity() * sizeof(int32_t);
-    bytes += arena.used.capacity() * sizeof(uint8_t);
-    bytes += arena.owner.capacity() * sizeof(uint32_t);
-    bytes += arena.half.capacity() * sizeof(uint32_t);
-  }
-  for (const auto& level : by_level_) {
-    bytes += level.capacity() * sizeof(uint32_t);
-  }
+  size_t bytes = sizeof(*this) + nodes_.capacity() * sizeof(Node) +
+                 levels_.capacity() * sizeof(LevelTable) +
+                 grid_scratch_.capacity() * sizeof(uint64_t) +
+                 record_scratch_.capacity() * sizeof(uint64_t) +
+                 bits_scratch_.capacity();
+  for (const LevelTable& t : levels_) bytes += t.MemoryBytes();
   return bytes;
 }
 

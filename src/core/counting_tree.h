@@ -4,33 +4,41 @@
 // Level h (1 <= h <= H-1) covers the unit cube with cells of side 1/2^h.
 // Only non-empty cells are materialized, so each level holds at most eta
 // cells regardless of the 2^(d h) nominal grid size. Each cell stores
-//   - loc:   its position inside the parent cell, one bit per axis
-//            (0 = lower half, 1 = upper half),
-//   - n:     the number of points in its space,
-//   - P[j]:  the half-space count — points in the lower half of the cell
-//            along axis e_j,
-//   - used:  the usedCell flag consumed by the β-cluster search,
-//   - child: the node refining this cell at level h+1 (if any).
+//   - its key:  the packed absolute cell coordinate (below),
+//   - n:        the number of points in its space,
+//   - P[j]:     the half-space count — points in the lower half of the
+//               cell along axis e_j,
+//   - used:     the usedCell flag consumed by the β-cluster search,
+//   - child:    the node refining this cell at level h+1 (if any).
+// The paper's loc (position bits inside the parent) is the low bit of
+// each coordinate, so it is decoded from the key rather than stored.
 //
-// Storage is structure-of-arrays, level-contiguous: every level owns one
-// arena of packed parallel arrays (loc[], n[], child[], used[], the
-// owning node per cell, and d half-space counts per cell), so the hot
-// loops — the Laplacian convolution, the argmax sweep, serialization —
-// stream each attribute sequentially instead of chasing per-node
-// pointers. A node (the paper's linked list of sibling cells sharing one
-// parent cell) is reduced to a slice [first, first + count) of its
-// level's arena plus the parent cell's absolute coordinates; nodes with
-// many cells additionally carry a flat open-addressing loc -> cell map
-// (small nodes use a linear scan over the contiguous loc slice).
+// Storage: one keyed cell table per level. Every level owns packed
+// parallel arrays (key record, n, child, used, owning node, d half-space
+// counts per cell) plus one open-addressing table of cell indices keyed
+// by the packed absolute coordinate. Axis j of a level-h key is the h-bit
+// field at bit (j % f) * h of word j / f, with f = 64 / h fields per word
+// (no field straddles a word; ceil(d / f) words per key). Each record also
+// stores the additive hash Σ c_j * R_j (mod 2^64) with fixed odd per-axis
+// multipliers R_j, so a face neighbor's key is one word ± 2^((j % f) * h)
+// and its hash is the cell's hash ± R_j: the table answers a point's
+// insertion (one probe per level), the β-search's face-neighbor, parent
+// and growth probes, and the merge's cell matching, each in O(1) to form
+// and O(d / f) words to confirm.
 //
-// During construction cells append to their level arena in point-stream
-// order, which interleaves the slices of different nodes; Builder::Finish
-// (and every other structural mutation: MergeTree, LoadTree,
-// DropDeepestLevel) then *packs* each arena into the canonical order —
-// nodes in creation order, cells in creation order within their node.
-// That order is load-bearing: the β-search argmax breaks ties by the
-// lowest cell index in exactly this enumeration, so packing is what
-// keeps results bit-identical across serial, sharded and reloaded
+// A node (the paper's linked list of sibling cells sharing one parent
+// cell) is reduced to a level slice [first, first + count) of its level's
+// arrays; the pool order of the nodes is their creation order, which
+// child pointers and the serialized layout refer to.
+//
+// During construction cells append to their level in point-stream order,
+// which interleaves the slices of different nodes; Builder::Finish (and
+// every other structural mutation: Seal, MergeTree) then *packs* each
+// level into the canonical order — nodes in creation order, cells in
+// creation order within their node — with one stable counting sort by
+// owning node. That order is load-bearing: the β-search argmax breaks
+// ties by the lowest cell index in exactly this enumeration, so packing is
+// what keeps results bit-identical across serial, sharded and reloaded
 // builds. All public read access requires a packed tree; the only
 // sanctioned way to read cells is the LevelView / CellRef API below.
 //
@@ -39,6 +47,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -54,6 +63,8 @@ struct MergeTreeStats;  // tree_io.h
 
 /// Sparse multi-resolution grid of point counts (see file comment).
 class CountingTree {
+  struct LevelTable;  // One level's cell storage (private; see below).
+
  public:
   /// Deepest representable level. Beyond ~52 subdivisions cell boundaries
   /// fall below the double mantissa, so deeper levels carry no information;
@@ -63,10 +74,7 @@ class CountingTree {
   /// Maximum dataset dimensionality (loc packs one bit per axis).
   static constexpr size_t kMaxDims = 62;
 
-  /// Node size at which a loc -> cell hash map replaces linear search.
-  static constexpr size_t kIndexThreshold = 16;
-
-  /// A located cell: its level and its index in that level's arena.
+  /// A located cell: its level and its index in that level's arrays.
   /// Indices are stable between structural mutations (pack order only
   /// changes when the tree itself does).
   struct CellRef {
@@ -74,19 +82,25 @@ class CountingTree {
     uint32_t index = 0;
   };
 
-  /// Read-only view over one level's packed arenas — the sanctioned way
+  /// Read-only view over one level's packed cells — the sanctioned way
   /// to enumerate cells. All spans are parallel: entry i of each span
   /// describes the same cell, and i is the canonical enumeration index
   /// (nodes in creation order, cells in creation order within a node)
   /// that the β-search tie-break and the serialized layout rely on.
+  /// A view is O(1) to construct and stays valid until the next
+  /// structural mutation (insert, merge, level drop).
   class LevelView {
    public:
     int level() const { return level_; }
     size_t num_cells() const;
-    size_t num_dims() const;
+    size_t num_dims() const { return num_dims_; }
 
-    /// Position bits of each cell inside its parent cell.
-    std::span<const uint64_t> locs() const;
+    /// Number of 64-bit words in one packed key: ceil(d / (64 / level)).
+    size_t key_words() const;
+
+    /// Position bits of cell i inside its parent cell (bit j = lowest bit
+    /// of coordinate j), decoded from the key.
+    uint64_t loc(uint32_t i) const;
 
     /// Point count n of each cell.
     std::span<const uint32_t> counts() const;
@@ -107,20 +121,34 @@ class CountingTree {
     /// The d half-space counts of cell i.
     std::span<const uint32_t> half_of(uint32_t i) const;
 
-    /// Absolute integer coordinates (in [0, 2^level)) of cell i, written
-    /// to out[0..d). The allocation-free form for hot loops.
+    /// Absolute integer coordinates (in [0, 2^level)) of cell i, decoded
+    /// from its key into out[0..d). The allocation-free form for hot loops.
     void CoordsInto(uint32_t i, uint64_t* out) const;
 
     std::vector<uint64_t> Coords(uint32_t i) const;
+
+    /// Index of the cell at `coords` (d values), or -1 when that region
+    /// holds no points or lies outside [0, 2^level)^d.
+    int64_t Find(const uint64_t* coords) const;
+
+    /// FaceNeighborOf's answer for a neighbor outside [0, 2^level)^d,
+    /// given without a table lookup.
+    static constexpr int64_t kOffCube = -2;
+
+    /// Index of the face neighbor of cell `cell` along `axis` in
+    /// direction `dir` (-1 / +1); -1 when that region holds no points, or
+    /// kOffCube when it lies outside the cube. O(1) to form; one probe
+    /// sequence to resolve.
+    int64_t FaceNeighborOf(uint32_t cell, size_t axis, int dir) const;
 
     CellRef ref(uint32_t i) const { return CellRef{level_, i}; }
 
    private:
     friend class CountingTree;
-    LevelView(const CountingTree* tree, int level)
-        : tree_(tree), level_(level) {}
+    LevelView(const CountingTree* tree, int level);
 
-    const CountingTree* tree_;
+    const LevelTable* table_;
+    size_t num_dims_;
     int level_;
   };
 
@@ -142,7 +170,7 @@ class CountingTree {
     /// Counts one point into the tree. Rejects out-of-cube values.
     [[nodiscard]] Status Add(std::span<const double> point);
 
-    /// Finalizes (packs the arenas) and returns the tree. The builder is
+    /// Finalizes (packs the levels) and returns the tree. The builder is
     /// consumed.
     [[nodiscard]] Result<CountingTree> Finish() &&;
 
@@ -205,8 +233,7 @@ class CountingTree {
   std::vector<uint64_t> CellCoords(CellRef ref) const;
 
   /// Locates the cell at `coords` on `level`. Returns true and fills `ref`
-  /// when that region holds points. Walks down from the root: O(level)
-  /// lookups.
+  /// when that region holds points. One level-table probe: O(d).
   bool FindCell(int level, const std::vector<uint64_t>& coords,
                 CellRef* ref) const;
 
@@ -230,15 +257,16 @@ class CountingTree {
   /// paper's H trades resolution for resources, and counts at the
   /// remaining levels are untouched, so the result equals a tree built
   /// with the smaller H from the start (cell for cell — the surviving
-  /// arenas and the node pool keep their order). Fails when H is already
+  /// levels and the node pool keep their order). Fails when H is already
   /// the minimum 3.
   [[nodiscard]] Status DropDeepestLevel();
 
   /// Full structural walk of every invariant the core relies on: packed
-  /// arena consistency, d-bit loc codes, half-space counts P[j] <= n,
-  /// child levels/base coordinates, child count sums equal to the parent
-  /// cell count, single-parent linkage, by-level index consistency and
-  /// the total-point count. O(cells * d) — debug/validation tool, not a
+  /// level consistency (node slices tile each level in pool order, the
+  /// key table finds every cell), half-space counts P[j] <= n, child
+  /// levels and coordinates, child nodes created after their parents,
+  /// child count sums equal to the parent cell count, single-parent
+  /// linkage and the total-point count. O(cells * d) — debug/validation tool, not a
   /// hot-path call. Returns OK or Internal naming the first violated
   /// invariant. Builder::Finish and MergeTree run it in debug builds;
   /// LoadTree runs it unconditionally to reject corrupt files.
@@ -247,74 +275,84 @@ class CountingTree {
   /// Approximate heap footprint of the tree in bytes.
   size_t MemoryBytes() const;
 
-  /// Test-only mutable access to the raw arenas, for corrupting a tree
+  /// Test-only mutable access to the raw cell arrays, for corrupting a tree
   /// in invariant/robustness tests. Not part of the supported API.
   struct TestPeer;
 
  private:
-  /// Flat open-addressing loc -> cell map (power-of-two capacity, linear
-  /// probing). loc always fits in kMaxDims = 62 bits, so ~0 is a free
-  /// empty-slot sentinel. Replaces the former per-node unordered_map:
-  /// one contiguous allocation, no per-entry heap nodes.
-  class LocMap {
-   public:
-    void Reserve(size_t entries);
-    void Insert(uint64_t loc, uint32_t cell);
-    int64_t Find(uint64_t loc) const;
-    size_t MemoryBytes() const;
-
-   private:
-    static constexpr uint64_t kEmpty = ~uint64_t{0};
-    void Grow();
-
-    std::vector<uint64_t> keys_;
-    std::vector<uint32_t> vals_;
-    size_t size_ = 0;
+  /// A node: the sibling cells sharing one parent cell, as the slice
+  /// [first, first + count) of its level's cell arrays (packed trees).
+  struct Node {
+    int32_t level = 1;
+    uint32_t first = 0;
+    uint32_t count = 0;
   };
 
-  /// One level's packed cell storage. Parallel arrays; `half` holds d
-  /// entries per cell (cell-major); `owner` is the node owning each cell
-  /// (what turns an arena index back into coordinates).
-  struct Arena {
-    std::vector<uint64_t> loc;
+  /// One level's cells: parallel arrays in cell order plus the keyed
+  /// open-addressing table over them (see the file comment).
+  struct LevelTable {
+    static constexpr uint32_t kEmptySlot = ~uint32_t{0};
+
+    int level = 0;
+    size_t fields = 0;        // Axes per key word: 64 / level.
+    size_t words = 0;         // Key words per cell.
+    uint64_t field_mask = 0;  // 2^level - 1: the largest coordinate.
+
+    std::vector<uint64_t> keys;  // words + 1 per cell: [hash, key words].
     std::vector<uint32_t> n;
     std::vector<int32_t> child;
     std::vector<uint8_t> used;
-    std::vector<uint32_t> owner;
-    std::vector<uint32_t> half;
+    std::vector<uint32_t> owner;  // Node owning each cell.
+    std::vector<uint32_t> half;   // d per cell, cell-major.
+    std::vector<uint32_t> slots;  // Power-of-two table of cell indices.
+    size_t packed_cells = 0;      // Cells already in canonical order.
 
-    size_t size() const { return loc.size(); }
+    size_t size() const { return n.size(); }
+    const uint64_t* Record(uint32_t cell) const {
+      return keys.data() + static_cast<size_t>(cell) * (words + 1);
+    }
+    /// Packs d coordinates into key[0..words) and returns their hash.
+    uint64_t PackKey(const uint64_t* coords, size_t d, uint64_t* key) const;
+    /// Home slot of a hash: a 64-bit finalizer spreads the additive hash.
+    size_t HomeSlot(uint64_t hash) const {
+      hash ^= hash >> 33;
+      hash *= 0xff51afd7ed558ccdull;
+      hash ^= hash >> 33;
+      hash *= 0xc4ceb9fe1a85ec53ull;
+      hash ^= hash >> 33;
+      return static_cast<size_t>(hash) & (slots.size() - 1);
+    }
+    /// Cell whose record holds `hash` and the key equal to `key` except
+    /// that word `word` is `word_value`; -1 when absent.
+    int64_t Lookup(uint64_t hash, const uint64_t* key, size_t word,
+                   uint64_t word_value) const {
+      const size_t mask = slots.size() - 1;
+      for (size_t s = HomeSlot(hash);; s = (s + 1) & mask) {
+        const uint32_t cell = slots[s];
+        if (cell == kEmptySlot) return -1;
+        const uint64_t* rec = Record(cell);
+        if (rec[0] != hash || rec[1 + word] != word_value) continue;
+        size_t k = 0;
+        while (k < words && (k == word || rec[1 + k] == key[k])) ++k;
+        if (k == words) return static_cast<int64_t>(cell);
+      }
+    }
+    int64_t Find(uint64_t hash, const uint64_t* key) const {
+      return Lookup(hash, key, 0, key[0]);
+    }
+    /// Sizes the slot table for `cells` cells (load <= 1/2) and rehashes.
+    void ReserveSlots(size_t cells);
+    /// Enters cell `cell` (its record already stored) into the table.
+    void InsertSlot(uint32_t cell);
+    size_t MemoryBytes() const;
   };
 
-  /// A node: the sibling cells sharing one parent cell. Packed trees
-  /// address their cells as the arena slice [first, first + count);
-  /// during construction (unpacked) `cell_ids` lists the arena indices
-  /// in creation order instead.
-  struct Node {
-    int level = 1;
+  /// R_j of the additive key hash: fixed odd per-axis multipliers.
+  static const std::array<uint64_t, kMaxDims> kAxisMultiplier;
 
-    /// Absolute integer coordinates of this node's parent cell at level
-    /// `level - 1` (all zeros for the root node). A cell of this node has
-    /// coordinates base_coords[j] * 2 + bit_j(loc) at `level`.
-    std::vector<uint64_t> base_coords;
+  CountingTree(size_t num_dims, int num_resolutions);
 
-    /// Packed: first cell of this node's arena slice.
-    uint32_t first = 0;
-
-    /// Number of cells in this node (valid in both modes).
-    uint32_t count = 0;
-
-    /// Unpacked only: arena indices of this node's cells, creation order.
-    std::vector<uint32_t> cell_ids;
-
-    /// loc -> arena cell; built once the node outgrows linear scan.
-    std::unique_ptr<LocMap> index;
-  };
-
-  CountingTree(size_t num_dims, int num_resolutions)
-      : num_dims_(num_dims), num_resolutions_(num_resolutions) {}
-
-  // Persistence and merging need raw access to the arenas (tree_io.h).
+  // Persistence and merging need raw access to the levels (tree_io.h).
   friend std::string SerializeTree(const CountingTree& tree);
   friend Result<CountingTree> ParseTree(const std::string& bytes,
                                         const std::string& path);
@@ -324,57 +362,65 @@ class CountingTree {
   /// Inserts one point (unpacked trees only); see Build.
   void InsertPoint(std::span<const double> point);
 
-  /// Arena index of the cell with position `loc` in `node`, or -1.
-  int64_t FindInNode(const Node& node, uint64_t loc) const;
+  /// Appends a cell with the given key record (hash, key words) to level
+  /// h, owned by node `owner`, and returns its index. Counts start at 0.
+  uint32_t AppendCell(int h, const uint64_t* record, uint32_t owner,
+                      int32_t child);
 
-  /// Finds or creates the cell with position `loc` in the (unpacked)
-  /// node; returns its arena index.
-  uint32_t FindOrCreateInNode(uint32_t node_idx, uint64_t loc);
-
-  /// Creates an empty node at `level` under the given parent cell.
-  uint32_t NewNode(int level, std::vector<uint64_t> base_coords);
-
-  /// Permutes every level arena into canonical enumeration order (nodes
-  /// in creation order, cells in creation order within their node),
-  /// assigns the node slices and rebuilds the per-node loc maps. After
-  /// this the tree is readable; see the file comment for why the order
-  /// is bit-identity-critical.
+  /// Sorts every level with new cells into canonical enumeration order
+  /// (nodes in creation order, cells in creation order within their node)
+  /// by one stable counting sort on the owning node, and assigns the node
+  /// slices. After this the tree is readable; see the file comment for
+  /// why the order is bit-identity-critical.
   void Pack();
-
-  /// Re-materializes per-node cell_id lists from the packed slices so
-  /// the tree accepts insertions again (MergeTree's destination).
-  void Unpack();
 
   size_t num_dims_;
   int num_resolutions_;
   uint64_t total_points_ = 0;
   bool packed_ = false;
-  std::vector<Node> nodes_;                      // nodes_[0] is the root.
-  std::vector<std::vector<uint32_t>> by_level_;  // level -> node indices.
-  std::vector<Arena> arenas_;                    // arenas_[h], h >= 1.
-  std::vector<uint8_t> bits_scratch_;  // InsertPoint digit buffer (reused
-                                       // across points: no per-point alloc).
+  std::vector<Node> nodes_;  // Creation (pool) order; nodes_[0] is the root.
+  std::vector<LevelTable> levels_;  // levels_[h], h >= 1.
+  // InsertPoint buffers, reused across points: no per-point allocation.
+  std::vector<uint64_t> grid_scratch_;    // d binary expansions.
+  std::vector<uint64_t> record_scratch_;  // One key record per level.
+  std::vector<uint8_t> bits_scratch_;     // d next-level digits.
 };
+
+inline int64_t CountingTree::LevelView::FaceNeighborOf(uint32_t cell,
+                                                       size_t axis,
+                                                       int dir) const {
+  const LevelTable& t = *table_;
+  const uint64_t* rec = t.Record(cell);
+  const size_t word = axis / t.fields;
+  const size_t shift = (axis % t.fields) * static_cast<size_t>(level_);
+  const uint64_t coord = (rec[1 + word] >> shift) & t.field_mask;
+  const uint64_t step = uint64_t{1} << shift;
+  if (dir < 0) {
+    if (coord == 0) return kOffCube;
+    return t.Lookup(rec[0] - kAxisMultiplier[axis], rec + 1, word,
+                    rec[1 + word] - step);
+  }
+  if (coord == t.field_mask) return kOffCube;
+  return t.Lookup(rec[0] + kAxisMultiplier[axis], rec + 1, word,
+                  rec[1 + word] + step);
+}
 
 /// Mutation hooks for tests that corrupt a tree on purpose (invariant
 /// detection, robustness). Kept out of the main API so production code
 /// cannot reach mutable storage; lint bans raw-field access elsewhere.
 struct CountingTree::TestPeer {
   static uint32_t& Count(CountingTree& tree, CellRef ref) {
-    return tree.arenas_[static_cast<size_t>(ref.level)].n[ref.index];
-  }
-  static uint64_t& Loc(CountingTree& tree, CellRef ref) {
-    return tree.arenas_[static_cast<size_t>(ref.level)].loc[ref.index];
+    return tree.levels_[static_cast<size_t>(ref.level)].n[ref.index];
   }
   static int32_t& Child(CountingTree& tree, CellRef ref) {
-    return tree.arenas_[static_cast<size_t>(ref.level)].child[ref.index];
+    return tree.levels_[static_cast<size_t>(ref.level)].child[ref.index];
   }
   static uint32_t& Half(CountingTree& tree, CellRef ref, size_t axis) {
-    return tree.arenas_[static_cast<size_t>(ref.level)]
+    return tree.levels_[static_cast<size_t>(ref.level)]
         .half[ref.index * tree.num_dims_ + axis];
   }
   static void SetUsedRaw(CountingTree& tree, CellRef ref, uint8_t value) {
-    tree.arenas_[static_cast<size_t>(ref.level)].used[ref.index] = value;
+    tree.levels_[static_cast<size_t>(ref.level)].used[ref.index] = value;
   }
 };
 

@@ -8,15 +8,15 @@
 //
 // Two access tiers:
 //   - The *Range functions are the production path: they convolve a
-//     contiguous run of one level's packed arena, seeding all center
+//     contiguous run of one level's packed cells, seeding all center
 //     terms with one SIMD streaming pass (simd::ScaleU32ToI64) and
-//     resolving each face neighbor through a LevelIndex probe that is
-//     O(1) to form (packed key ± one field, additive hash ± R_j) instead
-//     of an O(level * d) root descent — O(d) per convolved cell, as the
-//     paper prices it. The β-search calls these from its parallel sweep.
-//   - The single-cell functions convolve one cell through the tree's
-//     FindCell walk — convenient for tests, reference checks and
-//     benchmarks; results are identical.
+//     resolving each face neighbor through a probe of the level's keyed
+//     table that is O(1) to form (packed key ± one field, additive hash
+//     ± R_j) — O(d) per convolved cell, as the paper prices it. The
+//     β-search calls these from its parallel sweep.
+//   - The single-cell functions convolve the cell at given coordinates
+//     through the tree's FindCell probe — convenient for tests,
+//     reference checks and benchmarks; results are identical.
 //
 // The full order-3 mask (center 3^d - 1, everything else -1, Fig. 2a) is
 // also provided for the ablation study and for testing the face-only
@@ -33,7 +33,7 @@
 namespace mrcc {
 
 /// Face-only Laplacian responses of cells [begin, end) of `view`, written
-/// to out[begin..end). `index` must be built over the same level. When
+/// to out[begin..end). `index` must view the same level. When
 /// `probes` is set, the number of index table lookups issued (at most 2d
 /// per cell; neighbors off the cube need none) is added to it.
 void FaceLaplacianConvolveRange(const CountingTree::LevelView& view,

@@ -484,6 +484,7 @@ Result<MrCCResult> MrCC::Run(const Dataset& data) const {
 Result<Clustering> MrCC::Cluster(const Dataset& data) {
   Result<MrCCResult> result = Run(data);
   if (!result.ok()) return result.status();
+  last_stats_ = std::move(result->stats);
   return std::move(result->clustering);
 }
 

@@ -249,6 +249,10 @@ class MrCC : public SubspaceClusterer {
   std::string name() const override { return "MrCC"; }
   [[nodiscard]] Result<Clustering> Cluster(const Dataset& data) override;
 
+  /// Stats of the last successful Cluster() call (the work counters a
+  /// bench record carries).
+  const MrCCStats& last_stats() const { return last_stats_; }
+
  private:
   /// The window-mode pipeline: streams the source through the incremental
   /// engine (core/streaming_mrcc.h) so only the trailing window is
@@ -256,6 +260,7 @@ class MrCC : public SubspaceClusterer {
   [[nodiscard]] Result<MrCCResult> RunWindowed(const DataSource& source) const;
 
   MrCCParams params_;
+  MrCCStats last_stats_;
 };
 
 }  // namespace mrcc

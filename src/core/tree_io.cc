@@ -1,6 +1,8 @@
 #include "core/tree_io.h"
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "common/check.h"
 #include "common/fs.h"
@@ -69,19 +71,21 @@ std::string SerializeTree(const CountingTree& tree) {
   AppendPod(static_cast<uint64_t>(tree.num_nodes()), &out);
   const size_t d = tree.num_dims();
   MRCC_DCHECK(tree.packed_);
-  for (size_t n = 0; n < tree.nodes_.size(); ++n) {
-    const CountingTree::Node& node = tree.nodes_[n];
-    const CountingTree::Arena& arena =
-        tree.arenas_[static_cast<size_t>(node.level)];
+  std::vector<uint64_t> coords(d);
+  for (const CountingTree::Node& node : tree.nodes_) {
+    const CountingTree::LevelView view = tree.Level(node.level);
     AppendPod(static_cast<int32_t>(node.level), &out);
-    for (uint64_t c : node.base_coords) AppendPod(c, &out);
+    // A node's base coordinates are its parent cell's: any of its cells'
+    // coordinates halved (an empty root writes zeros).
+    std::fill(coords.begin(), coords.end(), 0);
+    if (node.count > 0) view.CoordsInto(node.first, coords.data());
+    for (uint64_t c : coords) AppendPod(c >> 1, &out);
     AppendPod(static_cast<uint64_t>(node.count), &out);
-    for (uint32_t c = 0; c < node.count; ++c) {
-      const size_t i = static_cast<size_t>(node.first) + c;
-      AppendPod(arena.loc[i], &out);
-      AppendPod(arena.n[i], &out);
-      AppendPod(arena.child[i], &out);
-      for (size_t j = 0; j < d; ++j) AppendPod(arena.half[i * d + j], &out);  // lint-allow: cell-storage
+    for (uint32_t i = node.first; i < node.first + node.count; ++i) {
+      AppendPod(view.loc(i), &out);
+      AppendPod(view.counts()[i], &out);
+      AppendPod(view.children()[i], &out);
+      for (uint32_t h : view.half_of(i)) AppendPod(h, &out);
     }
   }
   return out;
@@ -135,14 +139,13 @@ Result<CountingTree> ParseTree(const std::string& bytes,
 
   CountingTree tree(dims, static_cast<int>(resolutions));
   tree.total_points_ = total_points;
-  tree.by_level_.resize(resolutions);
-  tree.arenas_.resize(resolutions);
   tree.nodes_.resize(node_count);
   // Nodes are on disk in pool (creation) order and cells in per-node
-  // creation order, so appending each record to its level arena directly
+  // creation order, so appending each record to its level directly
   // reproduces the canonical packed layout — no separate Pack() pass.
+  std::vector<uint64_t> base(dims), coords(dims);
+  std::vector<uint64_t> record(CountingTree::kMaxDims + 1);
   for (uint64_t n = 0; n < node_count; ++n) {
-    CountingTree::Node& node = tree.nodes_[n];
     int32_t level = 0;
     MRCC_RETURN_IF_ERROR(in.Read("node level", &level));
     if (level < 1 || level >= static_cast<int32_t>(resolutions)) {
@@ -150,10 +153,14 @@ Result<CountingTree> ParseTree(const std::string& bytes,
                                       " outside [1, " +
                                       std::to_string(resolutions) + ")");
     }
-    node.level = level;
-    node.base_coords.resize(dims);
-    for (uint64_t& c : node.base_coords) {
+    tree.nodes_[n].level = level;
+    for (uint64_t& c : base) {
       MRCC_RETURN_IF_ERROR(in.Read("node base coordinate", &c));
+      if (c >= (uint64_t{1} << (level - 1))) {
+        return in.Bad("node base coordinate",
+                      std::to_string(c) + " outside the level-" +
+                          std::to_string(level - 1) + " grid");
+      }
     }
     uint64_t cell_count = 0;
     MRCC_RETURN_IF_ERROR(in.Read("node cell_count", &cell_count));
@@ -162,14 +169,18 @@ Result<CountingTree> ParseTree(const std::string& bytes,
                     std::to_string(cell_count) + " cells cannot fit in " +
                         std::to_string(bytes.size()) + " bytes");
     }
-    CountingTree::Arena& arena = tree.arenas_[static_cast<size_t>(level)];
-    node.first = static_cast<uint32_t>(arena.size());
-    node.count = static_cast<uint32_t>(cell_count);
+    CountingTree::LevelTable& table =
+        tree.levels_[static_cast<size_t>(level)];
+    tree.nodes_[n].first = static_cast<uint32_t>(table.size());
     for (uint64_t c = 0; c < cell_count; ++c) {
       uint64_t loc = 0;
       uint32_t count = 0;
       int32_t child = -1;
       MRCC_RETURN_IF_ERROR(in.Read("cell loc", &loc));
+      if (dims < 64 && (loc >> dims) != 0) {
+        return in.Bad("cell loc", "loc has bits above dimension " +
+                                      std::to_string(dims));
+      }
       MRCC_RETURN_IF_ERROR(in.Read("cell count", &count));
       MRCC_RETURN_IF_ERROR(in.Read("cell child pointer", &child));
       if (child >= 0 && static_cast<uint64_t>(child) >= node_count) {
@@ -177,27 +188,22 @@ Result<CountingTree> ParseTree(const std::string& bytes,
                       "child " + std::to_string(child) + " >= node count " +
                           std::to_string(node_count));
       }
-      arena.loc.push_back(loc);
-      arena.n.push_back(count);
-      arena.child.push_back(child);
-      arena.used.push_back(0);
-      arena.owner.push_back(static_cast<uint32_t>(n));
-      const size_t half_base = arena.half.size();
-      arena.half.resize(half_base + dims);
       for (size_t j = 0; j < dims; ++j) {
-        MRCC_RETURN_IF_ERROR(
-            in.Read("cell half count", &arena.half[half_base + j]));  // lint-allow: cell-storage
+        coords[j] = base[j] * 2 + ((loc >> j) & 1);
+      }
+      record[0] = table.PackKey(coords.data(), dims, record.data() + 1);
+      if (table.Find(record[0], record.data() + 1) >= 0) {
+        return in.Bad("cell loc", "duplicate cell at level " +
+                                      std::to_string(level));
+      }
+      const uint32_t cell = tree.AppendCell(
+          level, record.data(), static_cast<uint32_t>(n), child);
+      table.n[cell] = count;
+      uint32_t* half = &table.half[static_cast<size_t>(cell) * dims];  // lint-allow: cell-storage
+      for (size_t j = 0; j < dims; ++j) {
+        MRCC_RETURN_IF_ERROR(in.Read("cell half count", &half[j]));
       }
     }
-    if (cell_count > CountingTree::kIndexThreshold) {
-      node.index = std::make_unique<CountingTree::LocMap>();
-      node.index->Reserve(cell_count * 2);
-      for (uint32_t c = 0; c < cell_count; ++c) {
-        node.index->Insert(arena.loc[node.first + c], node.first + c);
-      }
-    }
-    tree.by_level_[static_cast<size_t>(level)].push_back(
-        static_cast<uint32_t>(n));
   }
   if (in.pos() != in.size()) {
     return Status::IOError(
@@ -205,12 +211,16 @@ Result<CountingTree> ParseTree(const std::string& bytes,
         std::to_string(in.size() - in.pos()) + " bytes past the last node" +
         " (tree ends at byte " + std::to_string(in.pos()) + ")");
   }
+  for (CountingTree::LevelTable& table : tree.levels_) {
+    table.packed_cells = table.size();
+  }
   tree.packed_ = true;
   // Field-level reads above only prove the bytes parse; a well-formed
   // stream can still encode a structurally corrupt tree (half counts
-  // exceeding the cell count, child sums that do not add up, duplicate
-  // sibling locs). MergeTree and the β-search would turn such a tree
-  // into silent nonsense, so reject it at the I/O boundary.
+  // exceeding the cell count, child sums that do not add up, a child
+  // node listed before its parent). MergeTree and the β-search would
+  // turn such a tree into silent nonsense, so reject it at the I/O
+  // boundary.
   if (Status v = tree.ValidateInvariants(); !v.ok()) {
     return Status::IOError("corrupt tree in " + path + ": " + v.message());
   }
@@ -232,99 +242,100 @@ Result<MergeTreeStats> MergeTree(CountingTree* tree,
     return Status::InvalidArgument("tree resolution mismatch");
   }
 
-  // Layout-preserving merge: iterate `other`'s node pool in index order —
-  // which is creation order, i.e. the order in which `other`'s point
-  // stream first touched each region — and only create a missing
-  // destination node at the moment its source counterpart is reached.
-  // Because InsertPoint creates a cell and its child node at the same
-  // point (the first one landing there), this reproduces exactly the node
-  // and cell ordering a serial build over the concatenated point streams
-  // would have produced; the final Pack() then restores the canonical
-  // arena layout of that serial build. Downstream consumers therefore
-  // cannot tell a sharded build from a serial one — the trees are
-  // identical, not merely equivalent.
-  MergeTreeStats stats;
+  // Layout-preserving merge. A serial build over the concatenated point
+  // streams would append `other`'s new cells to each destination node in
+  // `other`'s per-node creation order, and create the missing nodes in
+  // `other`'s node creation order (a node is created by the point that
+  // creates its parent cell). The fold below reproduces exactly that:
+  // pass 1 probes the destination once per source cell, read-only, and
+  // checks the source; new destination nodes then take pool indices in
+  // source pool order; pass 2 folds each level in source cell order. The
+  // final Pack() restores the canonical layout of that serial build, so
+  // downstream consumers cannot tell a sharded build from a serial one —
+  // the trees are identical, not merely equivalent.
+  using LevelTable = CountingTree::LevelTable;
+  constexpr uint32_t kAbsent = ~uint32_t{0};
   const size_t d = tree->num_dims();
-  tree->Unpack();
-  // parent_slot[s]: destination (node, arena cell) refined by source node
-  // s, recorded while merging the parent's cells; -1 node = not yet seen.
-  struct Slot {
-    int64_t node = -1;
-    uint32_t cell = 0;
-  };
-  std::vector<Slot> parent_slot(other.nodes_.size());
-  for (size_t m = 0; m < other.nodes_.size(); ++m) {
-    uint32_t dst_node = 0;
-    if (m != 0) {
-      const Slot& slot = parent_slot[m];
-      if (slot.node < 0) {
-        // A child preceding its parent in the pool never comes out of
-        // Builder or LoadTree; a tree that does is corrupt. Repack so the
-        // (half-merged) destination stays structurally readable.
-        tree->Pack();
+  const int levels = tree->num_resolutions();
+  // dest_node[s]: destination node of source node s (-1 = unseen, -2 =
+  // to be created).
+  std::vector<int64_t> dest_node(other.nodes_.size(), -1);
+  dest_node[0] = 0;
+  std::vector<std::vector<uint32_t>> found(static_cast<size_t>(levels));
+  std::vector<size_t> created(static_cast<size_t>(levels), 0);
+  for (int h = 1; h < levels; ++h) {
+    const LevelTable& src = other.levels_[static_cast<size_t>(h)];
+    const LevelTable& dst = tree->levels_[static_cast<size_t>(h)];
+    std::vector<uint32_t>& hit = found[static_cast<size_t>(h)];
+    hit.resize(src.size());
+    for (uint32_t i = 0; i < src.size(); ++i) {
+      const uint64_t* rec = src.Record(i);
+      const int64_t at = dst.Find(rec[0], rec + 1);
+      hit[i] = at < 0 ? kAbsent : static_cast<uint32_t>(at);
+      created[static_cast<size_t>(h)] += at < 0;
+      const int32_t child = src.child[i];
+      if (child < 0) continue;
+      // A child listed before its parent never comes out of Builder or
+      // ParseTree; a source that has one is corrupt. Reject it before
+      // the destination is touched.
+      if (static_cast<size_t>(child) >= other.nodes_.size() ||
+          static_cast<uint32_t>(child) <= src.owner[i] ||
+          other.nodes_[static_cast<size_t>(child)].level != h + 1) {
         return Status::Internal("merge source tree is not in creation order");
       }
-      // Create the destination counterpart only now, when the source pool
-      // scan reaches this node, so new destination nodes appear in source
-      // creation order (not in parent-cell order).
-      const CountingTree::Node& parent =
-          tree->nodes_[static_cast<size_t>(slot.node)];
-      const size_t parent_level = static_cast<size_t>(parent.level);
-      int32_t dst_child = tree->arenas_[parent_level].child[slot.cell];
-      if (dst_child < 0) {
-        std::vector<uint64_t> base(d);
-        const uint64_t loc = tree->arenas_[parent_level].loc[slot.cell];
-        for (size_t j = 0; j < d; ++j) {
-          base[j] = parent.base_coords[j] * 2 + ((loc >> j) & 1);
-        }
-        dst_child = static_cast<int32_t>(
-            tree->NewNode(parent.level + 1, std::move(base)));
-        tree->arenas_[parent_level].child[slot.cell] = dst_child;
-        ++stats.nodes_created;
-      }
-      dst_node = static_cast<uint32_t>(dst_child);
+      dest_node[static_cast<size_t>(child)] =
+          at < 0 ? -2 : dst.child[static_cast<size_t>(at)];
     }
-    const CountingTree::Node& src = other.nodes_[m];
-    const CountingTree::Arena& src_arena =
-        other.arenas_[static_cast<size_t>(src.level)];
-    for (uint32_t c = 0; c < src.count; ++c) {
-      const size_t si = static_cast<size_t>(src.first) + c;
-      const uint32_t dst_cells_before = tree->nodes_[dst_node].count;
-      const uint32_t dst_idx =
-          tree->FindOrCreateInNode(dst_node, src_arena.loc[si]);
-      // An unchanged cell count means the cell existed in both trees —
-      // a genuine merge (count addition) rather than an append.
-      if (tree->nodes_[dst_node].count == dst_cells_before) {
-        ++stats.cells_merged;
-      } else {
+  }
+  for (size_t s = 1; s < dest_node.size(); ++s) {
+    if (dest_node[s] == -1) {
+      return Status::Internal("merge source tree has an orphan node");
+    }
+  }
+
+  // Writes start here.
+  MergeTreeStats stats;
+  for (size_t s = 1; s < dest_node.size(); ++s) {
+    if (dest_node[s] != -2) continue;
+    dest_node[s] = static_cast<int64_t>(tree->nodes_.size());
+    tree->nodes_.push_back(CountingTree::Node{other.nodes_[s].level, 0, 0});
+    ++stats.nodes_created;
+  }
+  for (int h = 1; h < levels; ++h) {
+    const LevelTable& src = other.levels_[static_cast<size_t>(h)];
+    LevelTable& dst = tree->levels_[static_cast<size_t>(h)];
+    const std::vector<uint32_t>& hit = found[static_cast<size_t>(h)];
+    const size_t total = dst.size() + created[static_cast<size_t>(h)];
+    dst.keys.reserve(total * (dst.words + 1));
+    dst.n.reserve(total);
+    dst.child.reserve(total);
+    dst.used.reserve(total);
+    dst.owner.reserve(total);
+    dst.half.reserve(total * d);
+    dst.ReserveSlots(total);
+    for (uint32_t i = 0; i < src.size(); ++i) {
+      uint32_t at = hit[i];
+      if (at == kAbsent) {
+        const int32_t child = src.child[i];
+        at = tree->AppendCell(
+            h, src.Record(i),
+            static_cast<uint32_t>(dest_node[src.owner[i]]),
+            child < 0 ? -1
+                      : static_cast<int32_t>(
+                            dest_node[static_cast<size_t>(child)]));
         ++stats.cells_created;
+      } else {
+        ++stats.cells_merged;
       }
-      CountingTree::Arena& dst_arena =
-          tree->arenas_[static_cast<size_t>(src.level)];
-      dst_arena.n[dst_idx] += src_arena.n[si];
-      for (size_t j = 0; j < d; ++j) {
-        dst_arena.half[static_cast<size_t>(dst_idx) * d + j] +=  // lint-allow: cell-storage
-            src_arena.half[si * d + j];  // lint-allow: cell-storage
-      }
-      const int32_t src_child = src_arena.child[si];
-      if (src_child >= 0) {
-        MRCC_DCHECK_LT(static_cast<size_t>(src_child), other.nodes_.size());
-        parent_slot[static_cast<size_t>(src_child)] = {
-            static_cast<int64_t>(dst_node), dst_idx};
-      }
+      dst.n[at] += src.n[i];
+      uint32_t* half = &dst.half[static_cast<size_t>(at) * d];  // lint-allow: cell-storage
+      const uint32_t* add = &src.half[static_cast<size_t>(i) * d];  // lint-allow: cell-storage
+      for (size_t j = 0; j < d; ++j) half[j] += add[j];
     }
   }
   tree->total_points_ += other.total_points_;
-  tree->Pack();
-  tree->ResetUsedFlags();
-#ifndef NDEBUG
-  // A merge that breaks structure is a bug in this function, not bad
-  // input — abort with the violated invariant rather than return it.
-  if (Status v = tree->ValidateInvariants(); !v.ok()) {
-    internal::CheckFailed(__FILE__, __LINE__, "ValidateInvariants()",
-                          v.message().c_str());
-  }
-#endif
+  tree->packed_ = false;
+  tree->Seal();
   return stats;
 }
 

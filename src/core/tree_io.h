@@ -13,9 +13,17 @@
 //     u64 cell_count, per cell: u64 loc, u32 n, i32 child_node,
 //     d*u32 half
 //
-// The layout predates the SoA arena storage and is kept byte-for-byte
-// stable: a node's cells are written from its packed arena slice, which
-// is exactly the per-node creation order the old per-node vectors held.
+// The layout predates the keyed level tables and is kept byte-for-byte
+// stable: nodes are written in pool (creation) order, each with its
+// parent cell's coordinates (decoded from its cells' keys) and its cells
+// from its packed level slice, which is exactly the per-node creation
+// order. loc is decoded from each cell's key; on load it is re-encoded
+// into the key, and a loc with bits above d, a duplicate cell or a child
+// node listed before its parent is rejected.
+//
+// MergeTree folds a source tree level by level with one probe of the
+// destination's key table per source cell, and leaves the destination
+// exactly as a serial build over both point streams would have.
 
 #pragma once
 

@@ -19,6 +19,7 @@ BenchEntry ToBenchEntry(const RunMeasurement& m) {
   entry.quality = m.quality.quality;
   entry.subspace_quality = m.quality.subspace_quality;
   entry.clusters_found = m.clusters_found;
+  entry.counters = m.counters;
   return entry;
 }
 
@@ -55,6 +56,12 @@ std::string BenchRecord::ToJson() const {
     out += ",\"source\":";
     AppendJsonEscaped(e.source, &out);
     out += ",\"read_ahead\":" + std::to_string(e.read_ahead);
+    out += ",\"chunks_scanned\":" + std::to_string(e.counters.chunks_scanned);
+    out += ",\"cells\":" + std::to_string(e.counters.cells);
+    out += ",\"cells_convolved\":" +
+           std::to_string(e.counters.cells_convolved);
+    out += ",\"index_probes\":" + std::to_string(e.counters.index_probes);
+    out += ",\"binomial_tests\":" + std::to_string(e.counters.binomial_tests);
     out += ",\"error\":";
     AppendJsonEscaped(e.error, &out);
     out += '}';
@@ -124,6 +131,15 @@ Result<BenchRecord> BenchRecord::FromJson(const std::string& json) {
       // synchronous scans.
       entry.read_ahead =
           static_cast<int64_t>(JsonNumberOr(element.Find("read_ahead"), 0.0));
+      // Records written before the counters existed read as zero.
+      const auto counter = [&element](const char* key) {
+        return static_cast<uint64_t>(JsonNumberOr(element.Find(key), 0.0));
+      };
+      entry.counters.chunks_scanned = counter("chunks_scanned");
+      entry.counters.cells = counter("cells");
+      entry.counters.cells_convolved = counter("cells_convolved");
+      entry.counters.index_probes = counter("index_probes");
+      entry.counters.binomial_tests = counter("binomial_tests");
       record.entries.push_back(std::move(entry));
     }
   }

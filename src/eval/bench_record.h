@@ -50,6 +50,11 @@ struct BenchEntry {
   /// results are bit-identical at every depth.
   int64_t read_ahead = 0;
 
+  /// Deterministic work counters of an MrCC run (zero for the other
+  /// methods). tools/bench_compare.py compares them exactly: a changed
+  /// count is a changed amount of work, whatever the timings say.
+  WorkCounters counters;
+
   bool operator==(const BenchEntry&) const = default;
 };
 

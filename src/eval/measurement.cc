@@ -4,6 +4,7 @@
 
 #include "common/memory.h"
 #include "common/timer.h"
+#include "core/mrcc.h"
 
 namespace mrcc {
 namespace {
@@ -31,6 +32,9 @@ RunMeasurement RunAndScore(SubspaceClusterer& method, const Dataset& data,
   }
   m.completed = true;
   m.clusters_found = result->NumClusters();
+  if (const auto* mrcc = dynamic_cast<const MrCC*>(&method)) {
+    m.counters = CountersOf(mrcc->last_stats());
+  }
   if (truth != nullptr) {
     m.quality = EvaluateClustering(*result, *truth);
   } else {
@@ -40,6 +44,16 @@ RunMeasurement RunAndScore(SubspaceClusterer& method, const Dataset& data,
 }
 
 }  // namespace
+
+WorkCounters CountersOf(const MrCCStats& stats) {
+  WorkCounters c;
+  c.chunks_scanned = stats.chunks_scanned;
+  for (size_t cells : stats.cells_per_level) c.cells += cells;
+  c.cells_convolved = stats.beta_search.cells_convolved;
+  c.index_probes = stats.beta_search.index_probes;
+  c.binomial_tests = stats.beta_search.binomial_tests;
+  return c;
+}
 
 RunMeasurement MeasureRun(SubspaceClusterer& method,
                           const LabeledDataset& dataset,

@@ -13,6 +13,25 @@
 
 namespace mrcc {
 
+struct MrCCStats;
+
+/// Deterministic work counters of one MrCC run: the same input and
+/// parameters give the same counts on any machine and at any thread
+/// count, so a bench record can compare them exactly (noise-free, unlike
+/// wall time). All zero for the other methods.
+struct WorkCounters {
+  uint64_t chunks_scanned = 0;   // Data chunks the tree build scanned.
+  uint64_t cells = 0;            // Σ materialized cells over all levels.
+  uint64_t cells_convolved = 0;  // Laplacian responses computed.
+  uint64_t index_probes = 0;     // Level-table lookups of the convolution.
+  uint64_t binomial_tests = 0;   // Per-axis binomial tests run.
+
+  bool operator==(const WorkCounters&) const = default;
+};
+
+/// The work counters of an MrCC run.
+WorkCounters CountersOf(const MrCCStats& stats);
+
 /// Everything measured in one (method, dataset) run.
 struct RunMeasurement {
   std::string method;
@@ -28,6 +47,8 @@ struct RunMeasurement {
 
   size_t clusters_found = 0;
   QualityReport quality;
+
+  WorkCounters counters;
 };
 
 /// Runs `method` on `dataset` with an optional cooperative time budget

@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Regression test for tools/bench_compare.py: every baseline row counts.
+"""Regression tests for tools/bench_compare.py.
 
-A bench record can hold several rows for one method and dataset, one per
-data backend and read-ahead depth. This test copies the committed
-baseline, makes its chunked / read-ahead-0 row three times slower, and
-expects the comparison to fail (exit 1); the unmodified copy must pass.
+rows (default): every baseline row counts. A bench record can hold
+several rows for one method and dataset, one per data backend and
+read-ahead depth. The test copies the committed baseline, makes its
+chunked / read-ahead-0 row three times slower, and expects the
+comparison to fail (exit 1); the unmodified copy must pass.
 
-Usage: bench_compare_test.py REPO_ROOT
+counters: a work counter is compared exactly. The test raises one
+counter of one row by 1 and expects exit 1, with and without
+--warn-only.
+
+Usage: bench_compare_test.py REPO_ROOT [rows|counters]
 """
 
 import json
@@ -16,17 +21,38 @@ import sys
 import tempfile
 
 
-def compare(script, baseline, current):
+def compare(script, baseline, current, *extra):
     return subprocess.run(
-        [sys.executable, script, baseline, current, "--min-seconds", "0"],
+        [sys.executable, script, baseline, current, "--min-seconds", "0",
+         *extra],
         capture_output=True,
         text=True,
         check=False,
     )
 
 
+def check_counter_change(script, baseline, record, current):
+    bumped = record["entries"][-1]
+    if bumped.get("index_probes", 0) <= 0:
+        print("FAIL: the baseline's last row carries no index_probes count")
+        return 1
+    bumped["index_probes"] += 1
+    with open(current, "w", encoding="utf-8") as f:
+        json.dump(record, f)
+    for extra in ((), ("--warn-only",)):
+        changed = compare(script, baseline, current, *extra)
+        print(changed.stdout, changed.stderr)
+        if changed.returncode != 1:
+            print(f"FAIL: index_probes + 1 gave exit {changed.returncode}"
+                  f" with {list(extra)}")
+            return 1
+    print("PASS")
+    return 0
+
+
 def main():
     root = sys.argv[1]
+    mode = sys.argv[2] if len(sys.argv) > 2 else "rows"
     script = os.path.join(root, "tools", "bench_compare.py")
     baseline = os.path.join(root, "bench", "baselines", "BENCH_baseline.json")
     with open(baseline, encoding="utf-8") as f:
@@ -41,6 +67,9 @@ def main():
             print(same.stdout, same.stderr)
             print("FAIL: an identical record reported a regression")
             return 1
+
+        if mode == "counters":
+            return check_counter_change(script, baseline, record, current)
 
         slowed = 0
         for entry in record["entries"]:

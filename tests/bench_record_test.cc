@@ -30,6 +30,7 @@ BenchRecord MakeRecord() {
   ok.clusters_found = 12;
   ok.source = "chunked";
   ok.read_ahead = 2;
+  ok.counters = {62, 386015, 369633, 9876543210, 378};
   record.entries.push_back(ok);
 
   BenchEntry failed;
@@ -146,6 +147,7 @@ TEST(BenchRecordTest, ToBenchEntryMapsEveryField) {
   m.clusters_found = 9;
   m.quality.quality = 0.75;
   m.quality.subspace_quality = 0.5;
+  m.counters = {3, 40, 30, 700, 28};
 
   const BenchEntry entry = ToBenchEntry(m);
   EXPECT_EQ(entry.method, "MrCC");
@@ -156,6 +158,7 @@ TEST(BenchRecordTest, ToBenchEntryMapsEveryField) {
   EXPECT_EQ(entry.clusters_found, 9u);
   EXPECT_DOUBLE_EQ(entry.quality, 0.75);
   EXPECT_DOUBLE_EQ(entry.subspace_quality, 0.5);
+  EXPECT_EQ(entry.counters, m.counters);
 }
 
 }  // namespace

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "core/tree_io.h"
+#include "data/catalog.h"
+#include "data/generator.h"
 #include "test_util.h"
 
 namespace mrcc {
@@ -157,6 +162,38 @@ TEST(CountingTreeTest, MemoryGrowsWithData) {
   EXPECT_GT(tl->MemoryBytes(), ts->MemoryBytes());
 }
 
+// Tree memory contract: the keyed level tables cost a fixed payload per
+// cell, independent of H. Per cell at d = 14 (one key word at every level
+// here): 14 half-space counts (56 B) + key record (hash 8 + one word 8)
+// + n (4) + child (4) + used (1) + owning node (4) = 85 B, plus at most 4
+// table slots of 4 B (power-of-two table kept at most half full) and at
+// most one 12 B node slice per cell: 113 B. The layout with per-node
+// coordinate vectors, cell-id lists and loc maps took about 192 B.
+TEST(CountingTreeMemoryTest, BytesPerCellStayFlatAcrossResolutions) {
+  Result<LabeledDataset> data = GenerateSynthetic(Base14dConfig(0.05));
+  ASSERT_TRUE(data.ok());
+  ASSERT_EQ(data->data.NumDims(), 14u);
+  constexpr double kMaxBytesPerCell = 56 + 16 + 4 + 4 + 1 + 4 + 16 + 12;
+  std::vector<double> per_cell;
+  for (int resolutions : {3, 4, 5}) {
+    Result<CountingTree> tree = CountingTree::Build(data->data, resolutions);
+    ASSERT_TRUE(tree.ok());
+    size_t cells = 0;
+    for (int h = 1; h < resolutions; ++h) {
+      cells += tree->NumCellsAtLevel(h);
+      ASSERT_EQ(tree->Level(h).key_words(), 1u);
+    }
+    const double bytes_per_cell =
+        static_cast<double>(tree->MemoryBytes()) / static_cast<double>(cells);
+    EXPECT_LE(bytes_per_cell, kMaxBytesPerCell) << "H=" << resolutions;
+    per_cell.push_back(bytes_per_cell);
+  }
+  const double mean = (per_cell[0] + per_cell[1] + per_cell[2]) / 3.0;
+  for (size_t k = 0; k < per_cell.size(); ++k) {
+    EXPECT_NEAR(per_cell[k], mean, 0.10 * mean) << "H=" << 3 + k;
+  }
+}
+
 // Property sweep over dimensionality, depth and size: structural
 // invariants of the tree hold for arbitrary uniform data.
 class CountingTreeParam
@@ -175,7 +212,6 @@ TEST_P(CountingTreeParam, StructuralInvariants) {
     EXPECT_EQ(level.num_dims(), dims);
     const size_t cells = level.num_cells();
     EXPECT_EQ(level.counts().size(), cells);
-    EXPECT_EQ(level.locs().size(), cells);
     EXPECT_EQ(level.children().size(), cells);
     EXPECT_EQ(level.used().size(), cells);
     EXPECT_EQ(level.half().size(), cells * dims);
@@ -189,7 +225,7 @@ TEST_P(CountingTreeParam, StructuralInvariants) {
       for (size_t j = 0; j < dims; ++j) {
         EXPECT_LE(level.half_of(i)[j], n);
       }
-      // Coordinates round-trip through FindCell to the same arena slot.
+      // Coordinates round-trip through FindCell to the same cell index.
       const auto coords = level.Coords(i);
       for (size_t j = 0; j < dims; ++j) {
         EXPECT_LT(coords[j], uint64_t{1} << h);
@@ -337,15 +373,24 @@ TEST(CountingTreeInvariantsTest, DetectsHalfCountAboveCellCount) {
       << v.ToString();
 }
 
+// The tree stores no loc (it is decoded from the cell key), so a loc with
+// bits above d can only arrive in a tree file; loading must reject it.
 TEST(CountingTreeInvariantsTest, DetectsLocBitsAboveDimension) {
   Dataset d = testing::UniformDataset(1000, 4, 13);
   Result<CountingTree> tree = CountingTree::Build(d, 4);
   ASSERT_TRUE(tree.ok());
-  // d = 4: bit 60 invalid.
-  CountingTree::TestPeer::Loc(*tree, CellRef{1, 0}) |= uint64_t{1} << 60;
-  const Status v = tree->ValidateInvariants();
-  ASSERT_FALSE(v.ok());
-  EXPECT_NE(v.message().find("loc"), std::string::npos) << v.ToString();
+  std::string bytes = SerializeTree(*tree);
+  // Header (32 bytes), then the root's level (4), d = 4 base coordinates
+  // (32) and cell count (8): the first cell's loc starts at byte 76.
+  uint64_t loc = 0;
+  std::memcpy(&loc, bytes.data() + 76, sizeof(loc));
+  ASSERT_EQ(loc, tree->Loc(CellRef{1, 0}));
+  loc |= uint64_t{1} << 60;  // d = 4: bit 60 invalid.
+  std::memcpy(bytes.data() + 76, &loc, sizeof(loc));
+  Result<CountingTree> parsed = ParseTree(bytes, "corrupt.tree");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("loc"), std::string::npos)
+      << parsed.status().ToString();
 }
 
 TEST(CountingTreeInvariantsTest, DetectsChildSumMismatch) {
@@ -370,7 +415,7 @@ TEST(CountingTreeInvariantsTest, DetectsDanglingChildPointer) {
   EXPECT_NE(v.message().find("child"), std::string::npos) << v.ToString();
 }
 
-// ---- LevelView: the sanctioned bulk read API over the SoA arenas.
+// ---- LevelView: the sanctioned bulk read API over the level tables.
 
 TEST(LevelViewTest, SpansAgreeWithSingleCellAccessors) {
   Dataset d = testing::UniformDataset(500, 3, 21);
@@ -383,7 +428,7 @@ TEST(LevelViewTest, SpansAgreeWithSingleCellAccessors) {
       EXPECT_EQ(ref.level, h);
       EXPECT_EQ(ref.index, i);
       EXPECT_EQ(level.counts()[i], tree->Count(ref));
-      EXPECT_EQ(level.locs()[i], tree->Loc(ref));
+      EXPECT_EQ(level.loc(i), tree->Loc(ref));
       EXPECT_EQ(level.children()[i], tree->Child(ref));
       EXPECT_EQ(level.used()[i] != 0, tree->Used(ref));
       for (size_t j = 0; j < 3; ++j) {

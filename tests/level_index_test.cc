@@ -8,6 +8,9 @@
 
 #include "common/rng.h"
 #include "core/beta_cluster_finder.h"
+#include "core/mrcc.h"
+#include "data/catalog.h"
+#include "data/generator.h"
 #include "test_util.h"
 
 namespace mrcc {
@@ -121,9 +124,9 @@ TEST(LevelIndexTest, FindRejectsCoordinatesOffTheCube) {
   EXPECT_EQ(index.Find(coords.data()), -1);
 }
 
-// Index memory is cells * (key words + 1) words plus the slots: at a fixed
-// key word count it does not grow with d. At level 3 a word holds 21 axes,
-// so 14d and 21d both take one word and 22d takes two.
+// The index is a view over the tree's own key table: it holds no memory
+// of its own, whatever d and the key word count. At level 3 a word holds
+// 21 axes, so 14d and 21d both take one word and 22d takes two.
 TEST(LevelIndexTest, MemoryIsIndependentOfDimsAtFixedKeyWords) {
   auto index_bytes = [](size_t d, size_t* words) {
     // Eight points on the diagonal: eight cells at level 3 for any d.
@@ -145,8 +148,9 @@ TEST(LevelIndexTest, MemoryIsIndependentOfDimsAtFixedKeyWords) {
   EXPECT_EQ(words14, 1u);
   EXPECT_EQ(words21, 1u);
   EXPECT_EQ(words22, 2u);
-  EXPECT_EQ(bytes14, bytes21);
-  EXPECT_EQ(bytes22, bytes21 + 8 * sizeof(uint64_t));
+  EXPECT_EQ(bytes14, sizeof(LevelIndex));
+  EXPECT_EQ(bytes21, sizeof(LevelIndex));
+  EXPECT_EQ(bytes22, sizeof(LevelIndex));
 }
 
 // The O(d)-per-cell contract as a work count: the face-only convolution
@@ -177,6 +181,31 @@ TEST(LevelIndexTest, SearchProbesAtMostTwoDPerConvolvedCellAt30d) {
     ASSERT_GT(stats.cells_convolved, 0u);
     EXPECT_LE(stats.index_probes, 2 * kDims * stats.cells_convolved);
     EXPECT_EQ(stats.index_probes, expected_probes) << "threads=" << threads;
+  }
+}
+
+// Quasi-linear cost in d as work counts, across the paper's dims group:
+// at every d the convolution probes at most 2d table entries per cell,
+// and the tree holds at most eta cells per materialized level.
+TEST(LevelIndexTest, ProbesAndCellsStayLinearAcrossTheDimsGroup) {
+  for (const SyntheticConfig& config : DimsGroupConfigs(0.1)) {
+    Result<LabeledDataset> data = GenerateSynthetic(config);
+    ASSERT_TRUE(data.ok()) << config.name;
+    MrCCParams params;
+    params.num_threads = 1;
+    Result<MrCCResult> run = MrCC(params).Run(data->data);
+    ASSERT_TRUE(run.ok()) << config.name;
+    const size_t d = data->data.NumDims();
+    const uint64_t eta = data->data.NumPoints();
+    const MrCCStats& stats = run->stats;
+    ASSERT_GT(stats.beta_search.cells_convolved, 0u) << config.name;
+    EXPECT_LE(stats.beta_search.index_probes,
+              2 * d * stats.beta_search.cells_convolved)
+        << config.name;
+    uint64_t cells = 0;
+    for (size_t c : stats.cells_per_level) cells += c;
+    EXPECT_LE(cells, static_cast<uint64_t>(params.num_resolutions - 1) * eta)
+        << config.name;
   }
 }
 

@@ -5,8 +5,11 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "core/beta_cluster_finder.h"
 #include "test_util.h"
@@ -248,6 +251,68 @@ TEST(TreeIoTest, LoadRejectsImplausibleNodeCount) {
   std::remove(path.c_str());
 }
 
+// A node pool that lists a child before its parent is not a creation
+// order any build produces: MergeTree would fold it into a corrupt
+// destination. The bytes below are a valid H = 4 tree whose first level-3
+// node record was moved to pool position 1, child pointers remapped.
+TEST(TreeIoTest, ParseTreeRejectsChildBeforeParentInNodePool) {
+  const size_t d = 3;
+  Dataset data = testing::UniformDataset(300, d, 9);
+  Result<CountingTree> tree = CountingTree::Build(data, 4);
+  ASSERT_TRUE(tree.ok());
+  const std::string bytes = SerializeTree(*tree);
+  const size_t cell_bytes = 8 + 4 + 4 + d * 4;
+  struct NodeRecord {
+    int32_t level = 0;
+    size_t begin = 0, end = 0;
+  };
+  std::vector<NodeRecord> records;
+  size_t pos = kHeaderBytes;
+  for (size_t m = 0; m < tree->num_nodes(); ++m) {
+    NodeRecord r;
+    r.begin = pos;
+    std::memcpy(&r.level, bytes.data() + pos, sizeof(r.level));
+    uint64_t cells = 0;
+    std::memcpy(&cells, bytes.data() + pos + 4 + d * 8, sizeof(cells));
+    pos += 4 + d * 8 + 8 + cells * cell_bytes;
+    r.end = pos;
+    records.push_back(r);
+  }
+  ASSERT_EQ(pos, bytes.size());
+  size_t moved = 0;
+  while (moved < records.size() && records[moved].level != 3) ++moved;
+  ASSERT_GT(moved, 1u);
+  ASSERT_LT(moved, records.size());
+  // New pool order: root, the moved node, then everything else in order.
+  std::vector<size_t> order = {0, moved};
+  for (size_t m = 1; m < records.size(); ++m) {
+    if (m != moved) order.push_back(m);
+  }
+  std::vector<int32_t> new_index(records.size());
+  for (size_t k = 0; k < order.size(); ++k) {
+    new_index[order[k]] = static_cast<int32_t>(k);
+  }
+  std::string permuted = bytes.substr(0, kHeaderBytes);
+  for (size_t m : order) {
+    std::string record =
+        bytes.substr(records[m].begin, records[m].end - records[m].begin);
+    for (size_t c = 4 + d * 8 + 8; c < record.size(); c += cell_bytes) {
+      int32_t child = 0;
+      std::memcpy(&child, record.data() + c + 12, sizeof(child));
+      if (child >= 0) child = new_index[static_cast<size_t>(child)];
+      std::memcpy(record.data() + c + 12, &child, sizeof(child));
+    }
+    permuted += record;
+  }
+  ASSERT_EQ(permuted.size(), bytes.size());
+  Result<CountingTree> parsed = ParseTree(permuted, "permuted.tree");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kIOError);
+  EXPECT_NE(parsed.status().message().find("not created after its parent"),
+            std::string::npos)
+      << parsed.status().ToString();
+}
+
 TEST(TreeMergeTest, ShardedBuildEqualsMonolithicBuild) {
   // Build one tree over the full dataset and two trees over disjoint
   // halves; the merged halves must equal the monolithic tree.
@@ -289,6 +354,24 @@ TEST(TreeMergeTest, MergedTreeClusterSearchMatches) {
     EXPECT_EQ(from_whole[i].lower, from_merged[i].lower);
     EXPECT_EQ(from_whole[i].upper, from_merged[i].upper);
   }
+}
+
+// Every source check runs before the first write: a corrupt source is
+// rejected with the destination left exactly as it was.
+TEST(TreeMergeTest, CorruptSourceLeavesDestinationUntouched) {
+  Dataset data = testing::UniformDataset(400, 3, 31);
+  Result<CountingTree> dest = CountingTree::Build(data, 4);
+  Result<CountingTree> source = CountingTree::Build(data, 4);
+  ASSERT_TRUE(dest.ok() && source.ok());
+  const std::string before = SerializeTree(*dest);
+  // A level-1 cell pointing back at the root: a child that is not
+  // created after its parent.
+  CountingTree::TestPeer::Child(*source, CountingTree::CellRef{1, 0}) = 0;
+  Result<MergeTreeStats> merged = MergeTree(&*dest, *source);
+  ASSERT_FALSE(merged.ok());
+  EXPECT_EQ(merged.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(SerializeTree(*dest), before);
+  EXPECT_TRUE(dest->ValidateInvariants().ok());
 }
 
 TEST(TreeMergeTest, RejectsIncompatibleTrees) {

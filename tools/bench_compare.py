@@ -7,24 +7,32 @@ Usage:
 Entries are matched by (method, dataset, source, read_ahead): one bench
 can record the same method and dataset once per data backend and
 read-ahead depth. Entries that share all four fields are matched in
-record order. For each matched pair the per-run wall time is compared;
-the record-level totals (wall_seconds, peak_rss_bytes) are compared as
-well. A regression is a relative increase above --threshold (default
-25%). Small absolute times are noisy, so pairs where both sides are under
---min-seconds (default 50 ms) are only reported informationally, never
-failed on.
+record order. Each matched pair is compared twice:
+
+- Work counters (chunks_scanned, cells, cells_convolved, index_probes,
+  binomial_tests) are deterministic, so they must match exactly. Any
+  difference is a counter change and fails the comparison even with
+  --warn-only: the program did a different amount of work. A change that
+  means to do so regenerates the baseline and says why.
+- The per-run wall time, and the record-level totals (wall_seconds,
+  peak_rss_bytes). A regression is a relative increase above --threshold
+  (default 25%). Small absolute times are noisy, so pairs where both
+  sides are under --min-seconds (default 50 ms) are only reported
+  informationally, never failed on.
 
 Exit codes:
-  0  no regressions (or --warn-only), or no usable baseline (a missing or
+  0  no counter changes and no timing regressions (or only timing
+     regressions under --warn-only), or no usable baseline (a missing or
      unparseable baseline is a warning, not a failure: the first run of a
      new bench has nothing to compare against)
-  1  at least one regression above threshold
+  1  a counter changed, or a timing regression above threshold without
+     --warn-only
   2  usage error, or the CURRENT record is missing/unparseable (that one
      is always a hard error — it means the bench itself broke)
 
 The committed baseline lives at bench/baselines/BENCH_baseline.json and is
-refreshed deliberately (see README); CI runs this script warn-only until
-the runner variance is characterised.
+refreshed deliberately (see README); CI runs this script with --warn-only,
+so timings only warn while counter changes fail.
 """
 
 import argparse
@@ -33,6 +41,15 @@ import json
 import sys
 
 SUPPORTED_SCHEMA = 1
+
+# BenchEntry work counters (src/eval/measurement.h WorkCounters).
+COUNTERS = (
+    "chunks_scanned",
+    "cells",
+    "cells_convolved",
+    "index_probes",
+    "binomial_tests",
+)
 
 
 def load_record(path, *, required):
@@ -129,7 +146,8 @@ def main():
     parser.add_argument(
         "--warn-only",
         action="store_true",
-        help="report regressions but always exit 0",
+        help="report timing regressions without failing (counter "
+        "changes still fail)",
     )
     args = parser.parse_args()
 
@@ -160,6 +178,7 @@ def main():
     cur_entries = index_entries(cur.get("entries", []))
 
     regressions = []
+    counter_changes = []
     infos = []
 
     for key in sorted(base_entries.keys() - cur_entries.keys()):
@@ -176,6 +195,13 @@ def main():
                 f"({c.get('error', '')!r})"
             )
             continue
+        for counter in COUNTERS:
+            if counter not in b or counter not in c:
+                infos.append(f"entry {name}: no {counter} on one side")
+            elif b[counter] != c[counter]:
+                counter_changes.append(
+                    f"entry {name}: {counter} {b[counter]} -> {c[counter]}"
+                )
         bs, cs = b.get("seconds", 0.0), c.get("seconds", 0.0)
         change = relative_change(bs, cs)
         line = f"entry {name}: {bs:.3f}s -> {cs:.3f}s ({fmt_pct(change)})"
@@ -203,7 +229,15 @@ def main():
         print(f"  ok   {line}")
     for line in regressions:
         print(f"  REG  {line}")
+    for line in counter_changes:
+        print(f"  WORK {line}")
 
+    if counter_changes:
+        print(
+            f"\n{len(counter_changes)} work counter change(s): the run did "
+            "different work than the baseline"
+        )
+        return 1
     if regressions:
         print(
             f"\n{len(regressions)} regression(s) above "

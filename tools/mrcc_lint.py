@@ -45,8 +45,9 @@ offending line):
                      genuinely-safe exceptions take a
                      `lint-allow: result-unchecked` comment.
 
-  cell-storage       Raw counting-tree arena access (`.cells[`, `->cells[`,
-                     `.half[`, `->half[`) outside src/core/counting_tree.*.
+  cell-storage       Raw counting-tree level-table access (`.keys[`,
+                     `->keys[`, `.half[`, `->half[`) outside
+                     src/core/counting_tree.*.
                      All other code reads cells through the sanctioned
                      CountingTree::LevelView / CellRef API so the SoA
                      layout stays an implementation detail. (Moved here
@@ -423,7 +424,7 @@ def check_result_value(path, source, result_fns, findings):
             "ok() first" % name))
 
 
-CELL_STORAGE_RE = re.compile(r"(?:\.|->)\s*(?:cells|half)\s*\[")
+CELL_STORAGE_RE = re.compile(r"(?:\.|->)\s*(?:keys|half)\s*\[")
 
 
 def check_cell_storage(path, source, findings):
