@@ -37,26 +37,6 @@ size_t BuffersPerScan(const MrCCParams& params) {
   return std::max<size_t>(1, params.read_ahead_chunks);
 }
 
-/// Effective chunk size of the streaming scans: an explicit
-/// params.chunk_points wins; otherwise the default, shrunk so all
-/// shards' chunk buffers together — read_ahead_chunks deep each — fit in
-/// half of budget.max_memory_bytes (the other half belongs to the tree).
-/// Never zero.
-size_t ChunkPointsFor(const MrCCParams& params, size_t num_dims,
-                      int shards) {
-  if (params.chunk_points > 0) return params.chunk_points;
-  size_t chunk = kDefaultChunkPoints;
-  if (params.budget.max_memory_bytes > 0 && num_dims > 0 && shards > 0) {
-    const size_t bytes_per_point = num_dims * sizeof(double);
-    const size_t cap =
-        params.budget.max_memory_bytes /
-        (2 * static_cast<size_t>(shards) * BuffersPerScan(params) *
-         bytes_per_point);
-    chunk = std::clamp<size_t>(cap, 1, kDefaultChunkPoints);
-  }
-  return chunk;
-}
-
 /// Builds the Counting-tree over `source`, sharded across `num_threads`
 /// workers. Each worker counts one contiguous point slice into a private
 /// partial tree; the partial trees are then folded left-to-right with the
@@ -65,20 +45,17 @@ size_t ChunkPointsFor(const MrCCParams& params, size_t num_dims,
 /// Counts are additive, so the merge is exact, and the layout preservation
 /// makes every downstream stage bit-identical to the serial run.
 Result<CountingTree> BuildTreeSharded(const DataSource& source,
-                                      int num_resolutions, int num_threads,
-                                      BadPointPolicy policy,
-                                      size_t chunk_points, size_t read_ahead,
+                                      const MrCCParams& params,
+                                      int num_threads, size_t chunk_points,
                                       MrCCStats* stats) {
   const size_t n = source.NumPoints();
-  const size_t num_dims = source.NumDims();
   const int want_shards = std::max(
       1, std::min<int>(num_threads,
                        static_cast<int>(n / kMinPointsPerShard)));
-  stats->tree_merge_seconds = 0.0;
 
   if (n == 0) {
     stats->tree_build_threads = 1;
-    CountingTree::Builder builder(source.NumDims(), num_resolutions);
+    CountingTree::Builder builder(source.NumDims(), params.num_resolutions);
     MRCC_RETURN_IF_ERROR(builder.status());
     return std::move(builder).Finish();
   }
@@ -106,85 +83,27 @@ Result<CountingTree> BuildTreeSharded(const DataSource& source,
   // diagnostic. Slices are equal by construction, so a skewed profile
   // points at data distribution (hot tree regions) or the machine.
   std::vector<double> shard_seconds(static_cast<size_t>(shards), 0.0);
-  // Bad points each worker skipped/clamped; reduced in slice order below
-  // so the totals are deterministic like everything else.
-  std::vector<uint64_t> shard_skipped(static_cast<size_t>(shards), 0);
-  std::vector<uint64_t> shard_clamped(static_cast<size_t>(shards), 0);
-  std::vector<uint64_t> shard_chunks(static_cast<size_t>(shards), 0);
-  std::vector<PrefetchStats> shard_prefetch(static_cast<size_t>(shards));
+  // Each worker's counters; reduced in slice order below so the totals
+  // are deterministic like everything else.
+  std::vector<SliceCounts> shard_counts(static_cast<size_t>(shards));
   pool.ParallelFor(n, [&](int t, size_t begin, size_t end) {
     MRCC_TRACE_SPAN_N("tree.build.shard",
                       static_cast<int64_t>(end - begin));
     Timer shard_timer;
     const size_t st = static_cast<size_t>(t);
-    CountingTree::Builder builder(num_dims, num_resolutions);
-    std::vector<double> scratch;
-    // tree.build.alloc stands in for the builder's node-pool allocation
-    // failing under memory pressure.
-    Status status = fp::Maybe("tree.build.alloc");
-    if (status.ok()) status = builder.status();
-    if (status.ok()) {
-      // Chunks arrive in order and cover [begin, end) exactly once, so
-      // this fold is bit-identical to a point-at-a-time loop at every
-      // chunk size. The scanner keeps up to read_ahead chunks in flight
-      // behind this shard's inserts; depth 0 is the plain synchronous
-      // scan.
-      const ReadAheadScanner scanner(source, read_ahead);
-      status = scanner.ScanChunks(
-          begin, end, chunk_points,
-          [&](size_t first, std::span<const double> values) -> Status {
-            ++shard_chunks[st];
-            const size_t count = values.size() / num_dims;
-            for (size_t j = 0; j < count; ++j) {
-              std::span<const double> point =
-                  values.subspan(j * num_dims, num_dims);
-              if (fp::MaybeTrue("source.read.corrupt")) {
-                // Simulated bit rot: poison one coordinate the way a
-                // damaged row would arrive from any backend.
-                scratch.assign(point.begin(), point.end());
-                scratch[0] = std::numeric_limits<double>::quiet_NaN();
-                point = scratch;
-              }
-              const PointAction action = ClassifyPoint(point, policy);
-              if (action == PointAction::kReject) {
-                return Status::InvalidArgument(
-                    "point " + std::to_string(first + j) + " of " +
-                    source.Name() +
-                    " has a NaN/Inf/out-of-[0,1) value; normalize the data "
-                    "or pick a bad_point_policy");
-              }
-              if (action == PointAction::kSkip) {
-                ++shard_skipped[st];
-                continue;
-              }
-              if (action == PointAction::kClamp) {
-                if (point.data() != scratch.data()) {
-                  scratch.assign(point.begin(), point.end());
-                }
-                SanitizePoint(scratch, policy);
-                point = scratch;
-                ++shard_clamped[st];
-              }
-              MRCC_RETURN_IF_ERROR(builder.Add(point));
-            }
-            return Status::OK();
-          },
-          &shard_prefetch[st]);
-    }
-    partial[st] =
-        status.ok() ? std::move(builder).Finish() : Result<CountingTree>(status);
+    partial[st] = CountSlice(source, begin, end, params, chunk_points,
+                             &shard_counts[st]);
     shard_seconds[st] = shard_timer.ElapsedSeconds();
   });
   for (const Result<CountingTree>& shard : partial) {
     if (!shard.ok()) return shard.status();
   }
-  for (int t = 0; t < shards; ++t) {
-    stats->points_skipped += shard_skipped[static_cast<size_t>(t)];
-    stats->points_clamped += shard_clamped[static_cast<size_t>(t)];
-    stats->chunks_scanned += shard_chunks[static_cast<size_t>(t)];
-    stats->prefetch_stalls += shard_prefetch[static_cast<size_t>(t)].stalls;
-    stats->prefetch_queue_full_waits +=
-        shard_prefetch[static_cast<size_t>(t)].queue_full_waits;
+  for (const SliceCounts& counts : shard_counts) {
+    stats->points_skipped += counts.points_skipped;
+    stats->points_clamped += counts.points_clamped;
+    stats->chunks_scanned += counts.prefetch.chunks;
+    stats->prefetch_stalls += counts.prefetch.stalls;
+    stats->prefetch_queue_full_waits += counts.prefetch.queue_full_waits;
   }
 
   MetricsRegistry& metrics = MetricsRegistry::Global();
@@ -193,10 +112,9 @@ Result<CountingTree> BuildTreeSharded(const DataSource& source,
   // Worst-case raw points resident at once: every shard holding all of
   // its scan's chunk buffers (the read-ahead ring, or one buffer for a
   // synchronous scan). The zero-copy memory backend stays below it.
-  const size_t buffers = std::max<size_t>(1, read_ahead);
   stats->resident_point_bound =
       static_cast<size_t>(shards) *
-      std::min(buffers * chunk_points,
+      std::min(BuffersPerScan(params) * chunk_points,
                (n + static_cast<size_t>(shards) - 1) /
                    static_cast<size_t>(shards));
   metrics.gauge("memory.resident_points").SetMax(
@@ -248,6 +166,204 @@ Result<CountingTree> BuildTreeSharded(const DataSource& source,
 
 }  // namespace
 
+size_t ChunkPointsFor(const MrCCParams& params, size_t num_dims,
+                      int shards) {
+  if (params.chunk_points > 0) return params.chunk_points;
+  size_t chunk = kDefaultChunkPoints;
+  if (params.budget.max_memory_bytes > 0 && num_dims > 0 && shards > 0) {
+    const size_t bytes_per_point = num_dims * sizeof(double);
+    const size_t cap =
+        params.budget.max_memory_bytes /
+        (2 * static_cast<size_t>(shards) * BuffersPerScan(params) *
+         bytes_per_point);
+    chunk = std::clamp<size_t>(cap, 1, kDefaultChunkPoints);
+  }
+  return chunk;
+}
+
+Result<CountingTree> CountSlice(const DataSource& source, size_t begin,
+                                size_t end, const MrCCParams& params,
+                                size_t chunk_points, SliceCounts* counts) {
+  const size_t num_dims = source.NumDims();
+  const BadPointPolicy policy = params.bad_point_policy;
+  CountingTree::Builder builder(num_dims, params.num_resolutions);
+  // tree.build.alloc stands in for the builder's node-pool allocation
+  // failing under memory pressure.
+  MRCC_RETURN_IF_ERROR(fp::Maybe("tree.build.alloc"));
+  MRCC_RETURN_IF_ERROR(builder.status());
+  std::vector<double> scratch;
+  // Chunks arrive in order and cover [begin, end) exactly once, so this
+  // fold is bit-identical to a point-at-a-time loop at every chunk size.
+  // The scanner keeps up to read_ahead_chunks chunks in flight behind
+  // the inserts; depth 0 is the plain synchronous scan.
+  const ReadAheadScanner scanner(source, params.read_ahead_chunks);
+  MRCC_RETURN_IF_ERROR(scanner.ScanChunks(
+      begin, end, chunk_points,
+      [&](size_t first, std::span<const double> values) -> Status {
+        const size_t count = values.size() / num_dims;
+        for (size_t j = 0; j < count; ++j) {
+          std::span<const double> point =
+              values.subspan(j * num_dims, num_dims);
+          if (fp::MaybeTrue("source.read.corrupt")) {
+            // Simulated bit rot: poison one coordinate the way a damaged
+            // row would arrive from any backend.
+            scratch.assign(point.begin(), point.end());
+            scratch[0] = std::numeric_limits<double>::quiet_NaN();
+            point = scratch;
+          }
+          const PointAction action = ClassifyPoint(point, policy);
+          if (action == PointAction::kReject) {
+            return Status::InvalidArgument(
+                "point " + std::to_string(first + j) + " of " +
+                source.Name() +
+                " has a NaN/Inf/out-of-[0,1) value; normalize the data or "
+                "pick a bad_point_policy");
+          }
+          if (action == PointAction::kSkip) {
+            ++counts->points_skipped;
+            continue;
+          }
+          if (action == PointAction::kClamp) {
+            if (point.data() != scratch.data()) {
+              scratch.assign(point.begin(), point.end());
+            }
+            SanitizePoint(scratch, policy);
+            point = scratch;
+            ++counts->points_clamped;
+          }
+          MRCC_RETURN_IF_ERROR(builder.Add(point));
+        }
+        return Status::OK();
+      },
+      &counts->prefetch));
+  return std::move(builder).Finish();
+}
+
+Result<MrCCResult> ClusterTree(CountingTree& tree, const MrCCParams& params,
+                               const DataSource* label_source,
+                               BudgetTracker& tracker, MrCCStats stats) {
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  const int num_threads = ResolveThreadCount(params.num_threads);
+  MrCCResult result;
+  result.stats = std::move(stats);
+  result.stats.num_threads = num_threads;
+  const auto note_degraded = [&result](std::string reason) {
+    result.stats.degraded = true;
+    result.stats.degradation_reasons.push_back(std::move(reason));
+  };
+
+  // Memory pressure: trade resolution for footprint, the paper's own
+  // lever — H is a quality knob, so a coarser tree is a degraded but
+  // valid run, unlike an OOM kill. Each drop is exact: the remaining
+  // levels match a tree built with the smaller H from the start.
+  while (tracker.MemoryPressure(tree.MemoryBytes())) {
+    const size_t before = tree.MemoryBytes();
+    if (!tree.DropDeepestLevel().ok()) {
+      // Already at the paper's minimum H = 3; nothing left to shed.
+      note_degraded(
+          "memory budget still exceeded at the minimum H = 3 (" +
+          std::to_string(tree.MemoryBytes()) + " bytes); continuing");
+      break;
+    }
+    metrics.counter("budget.depth_drops").Add(1);
+    note_degraded("memory pressure: dropped the deepest resolution level "
+                  "(H now " + std::to_string(tree.num_resolutions()) +
+                  ", " + std::to_string(before) + " -> " +
+                  std::to_string(tree.MemoryBytes()) + " bytes)");
+  }
+  result.stats.effective_resolutions = tree.num_resolutions();
+  result.stats.tree_memory_bytes = tree.MemoryBytes();
+  result.stats.cells_per_level.assign(
+      static_cast<size_t>(tree.num_resolutions()), 0);
+  for (int h = 1; h < tree.num_resolutions(); ++h) {
+    result.stats.cells_per_level[h] = tree.NumCellsAtLevel(h);
+    metrics.gauge("tree.cells.level" + std::to_string(h)).Set(
+        static_cast<int64_t>(result.stats.cells_per_level[h]));
+  }
+  metrics.gauge("tree.memory_bytes").Set(
+      static_cast<int64_t>(result.stats.tree_memory_bytes));
+
+  // Deadline gate: past the wall budget the most useful answer is the
+  // cheapest valid one — no clusters, every point noise — returned now
+  // instead of starting a search that would blow the deadline further.
+  const size_t label_points =
+      label_source != nullptr ? label_source->NumPoints() : 0;
+  if (tracker.DeadlineExceeded()) {
+    note_degraded("wall deadline exceeded after the tree build (" +
+                  std::to_string(tracker.ElapsedSeconds()) +
+                  "s): returning an empty clustering, all points noise");
+    result.clustering.labels.assign(label_points, kNoiseLabel);
+    result.stats.total_seconds = tracker.ElapsedSeconds();
+    return result;
+  }
+
+  // Phase 2: β-cluster search, parallel over the cells of each level.
+  Timer phase;
+  BetaFinderOptions finder_options;
+  finder_options.alpha = params.alpha;
+  finder_options.full_mask = params.full_mask;
+  finder_options.num_threads = num_threads;
+  result.stats.beta_search_threads = num_threads;
+  {
+    MRCC_TRACE_SPAN("beta.search");
+    Result<BetaSearchResult> search =
+        RunBetaSearch(tree, finder_options, &tracker);
+    if (!search.ok()) return search.status();
+    result.beta_clusters = std::move(search->betas);
+    result.stats.beta_search = search->stats;
+  }
+  if (result.stats.beta_search.deadline_hit) {
+    note_degraded(
+        "wall deadline exceeded during the β-search: the β-clusters are "
+        "a deterministic prefix of the full search");
+  }
+  result.stats.beta_search_seconds = phase.ElapsedSeconds();
+
+  // Phase 3: merge β-clusters (geometry only), then label every point in
+  // a second scan of the source, parallel over point slices.
+  phase.Reset();
+  {
+    MRCC_TRACE_SPAN_N("cluster.merge_betas",
+                      static_cast<int64_t>(result.beta_clusters.size()));
+    result.clustering = MergeBetaClusters(
+        result.beta_clusters, tree.num_dims(), &result.beta_to_cluster);
+  }
+  if (label_source != nullptr) {
+    result.stats.labeling_threads = num_threads;
+    if (tracker.DeadlineExceeded()) {
+      // The cluster geometry above is already paid for; the labeling
+      // scan (a full second pass over the data) is what gets cut.
+      note_degraded("wall deadline exceeded before labeling: skipping the "
+                    "labeling scan, all points labeled noise");
+      result.clustering.labels.assign(label_points, kNoiseLabel);
+    } else {
+      Result<std::vector<int>> labels(Status::Internal("labeling not run"));
+      PrefetchStats label_prefetch;
+      {
+        MRCC_TRACE_SPAN_N("cluster.label_points",
+                          static_cast<int64_t>(label_points));
+        labels = LabelPoints(
+            result.beta_clusters, result.beta_to_cluster, *label_source,
+            num_threads, params.bad_point_policy,
+            ChunkPointsFor(params, label_source->NumDims(), num_threads),
+            params.read_ahead_chunks, &label_prefetch);
+      }
+      if (!labels.ok()) return labels.status();
+      result.clustering.labels = std::move(*labels);
+      result.stats.prefetch_stalls += label_prefetch.stalls;
+      result.stats.prefetch_queue_full_waits +=
+          label_prefetch.queue_full_waits;
+    }
+  }
+  result.stats.cluster_build_seconds = phase.ElapsedSeconds();
+  result.stats.total_seconds = tracker.ElapsedSeconds();
+  // Allocator high-water mark since the last ResetPeak() — with the
+  // bench harness's per-run reset this is the run's peak ("arena
+  // high-water"); standalone it is a process-lifetime bound.
+  metrics.gauge("memory.high_water_bytes").SetMax(MemoryTracker::PeakBytes());
+  return result;
+}
+
 Status WindowParams::Validate() const {
   if (generations == 0) {
     return Status::InvalidArgument("window.generations must be >= 1");
@@ -295,140 +411,28 @@ Result<MrCCResult> MrCC::Run(const DataSource& source) const {
   const int num_threads = ResolveThreadCount(params_.num_threads);
 
   MRCC_TRACE_SPAN_N("mrcc.run", static_cast<int64_t>(source.NumPoints()));
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-
-  MrCCResult result;
-  result.stats.num_threads = num_threads;
-  Timer total;
   BudgetTracker tracker(params_.budget);
-
-  const auto note_degraded = [&result](std::string reason) {
-    result.stats.degraded = true;
-    result.stats.degradation_reasons.push_back(std::move(reason));
-  };
 
   // Phase 1: single-scan Counting-tree construction, sharded by points.
   // Shards consume the source in bounded chunks, so raw-point memory
   // stays at shards × chunk regardless of dataset size (DESIGN.md §14).
+  MrCCStats stats;
   const size_t chunk_points =
       ChunkPointsFor(params_, source.NumDims(), num_threads);
-  result.stats.chunk_points = chunk_points;
-  result.stats.read_ahead_chunks = params_.read_ahead_chunks;
+  stats.chunk_points = chunk_points;
+  stats.read_ahead_chunks = params_.read_ahead_chunks;
   Timer phase;
   Result<CountingTree> tree(Status::Internal("tree build not run"));
   {
     MRCC_TRACE_SPAN("tree.build");
-    tree = BuildTreeSharded(source, params_.num_resolutions, num_threads,
-                            params_.bad_point_policy, chunk_points,
-                            params_.read_ahead_chunks, &result.stats);
+    tree = BuildTreeSharded(source, params_, num_threads, chunk_points,
+                            &stats);
   }
   if (!tree.ok()) return tree.status();
-  result.stats.tree_build_seconds = phase.ElapsedSeconds();
+  stats.tree_build_seconds = phase.ElapsedSeconds();
 
-  // Memory pressure: trade resolution for footprint, the paper's own
-  // lever — H is a quality knob, so a coarser tree is a degraded but
-  // valid run, unlike an OOM kill. Each drop is exact: the remaining
-  // levels match a tree built with the smaller H from the start.
-  while (tracker.MemoryPressure(tree->MemoryBytes())) {
-    const size_t before = tree->MemoryBytes();
-    if (!tree->DropDeepestLevel().ok()) {
-      // Already at the paper's minimum H = 3; nothing left to shed.
-      note_degraded(
-          "memory budget still exceeded at the minimum H = 3 (" +
-          std::to_string(tree->MemoryBytes()) + " bytes); continuing");
-      break;
-    }
-    metrics.counter("budget.depth_drops").Add(1);
-    note_degraded("memory pressure: dropped the deepest resolution level "
-                  "(H now " + std::to_string(tree->num_resolutions()) +
-                  ", " + std::to_string(before) + " -> " +
-                  std::to_string(tree->MemoryBytes()) + " bytes)");
-  }
-  result.stats.effective_resolutions = tree->num_resolutions();
-  result.stats.tree_memory_bytes = tree->MemoryBytes();
-  result.stats.cells_per_level.assign(
-      static_cast<size_t>(tree->num_resolutions()), 0);
-  for (int h = 1; h < tree->num_resolutions(); ++h) {
-    result.stats.cells_per_level[h] = tree->NumCellsAtLevel(h);
-    metrics.gauge("tree.cells.level" + std::to_string(h)).Set(
-        static_cast<int64_t>(result.stats.cells_per_level[h]));
-  }
-  metrics.gauge("tree.memory_bytes").Set(
-      static_cast<int64_t>(result.stats.tree_memory_bytes));
-
-  // Deadline gate: past the wall budget the most useful answer is the
-  // cheapest valid one — no clusters, every point noise — returned now
-  // instead of starting a search that would blow the deadline further.
-  if (tracker.DeadlineExceeded()) {
-    note_degraded("wall deadline exceeded after the tree build (" +
-                  std::to_string(tracker.ElapsedSeconds()) +
-                  "s): returning an empty clustering, all points noise");
-    result.clustering.labels.assign(source.NumPoints(), kNoiseLabel);
-    result.stats.total_seconds = total.ElapsedSeconds();
-    return result;
-  }
-
-  // Phase 2: β-cluster search, parallel over the cells of each level.
-  phase.Reset();
-  BetaFinderOptions finder_options;
-  finder_options.alpha = params_.alpha;
-  finder_options.full_mask = params_.full_mask;
-  finder_options.num_threads = num_threads;
-  result.stats.beta_search_threads = num_threads;
-  {
-    MRCC_TRACE_SPAN("beta.search");
-    Result<BetaSearchResult> search =
-        RunBetaSearch(*tree, finder_options, &tracker);
-    if (!search.ok()) return search.status();
-    result.beta_clusters = std::move(search->betas);
-    result.stats.beta_search = search->stats;
-  }
-  if (result.stats.beta_search.deadline_hit) {
-    note_degraded(
-        "wall deadline exceeded during the β-search: the β-clusters are "
-        "a deterministic prefix of the full search");
-  }
-  result.stats.beta_search_seconds = phase.ElapsedSeconds();
-
-  // Phase 3: merge β-clusters (geometry only), then label every point in
-  // a second scan of the source, parallel over point slices.
-  phase.Reset();
-  {
-    MRCC_TRACE_SPAN_N("cluster.merge_betas",
-                      static_cast<int64_t>(result.beta_clusters.size()));
-    result.clustering = MergeBetaClusters(
-        result.beta_clusters, source.NumDims(), &result.beta_to_cluster);
-  }
-  result.stats.labeling_threads = num_threads;
-  if (tracker.DeadlineExceeded()) {
-    // The cluster geometry above is already paid for; the labeling scan
-    // (a full second pass over the data) is what gets cut.
-    note_degraded("wall deadline exceeded before labeling: skipping the "
-                  "labeling scan, all points labeled noise");
-    result.clustering.labels.assign(source.NumPoints(), kNoiseLabel);
-  } else {
-    Result<std::vector<int>> labels(Status::Internal("labeling not run"));
-    PrefetchStats label_prefetch;
-    {
-      MRCC_TRACE_SPAN_N("cluster.label_points",
-                        static_cast<int64_t>(source.NumPoints()));
-      labels = LabelPoints(result.beta_clusters, result.beta_to_cluster,
-                           source, num_threads, params_.bad_point_policy,
-                           chunk_points, params_.read_ahead_chunks,
-                           &label_prefetch);
-    }
-    if (!labels.ok()) return labels.status();
-    result.clustering.labels = std::move(*labels);
-    result.stats.prefetch_stalls += label_prefetch.stalls;
-    result.stats.prefetch_queue_full_waits += label_prefetch.queue_full_waits;
-  }
-  result.stats.cluster_build_seconds = phase.ElapsedSeconds();
-  result.stats.total_seconds = total.ElapsedSeconds();
-  // Allocator high-water mark since the last ResetPeak() — with the
-  // bench harness's per-run reset this is the run's peak ("arena
-  // high-water"); standalone it is a process-lifetime bound.
-  metrics.gauge("memory.high_water_bytes").SetMax(MemoryTracker::PeakBytes());
-  return result;
+  // Phases 2-3: the β-search, the β-cluster merge and the labeling scan.
+  return ClusterTree(*tree, params_, &source, tracker, std::move(stats));
 }
 
 Result<MrCCResult> MrCC::RunWindowed(const DataSource& source) const {
@@ -445,31 +449,29 @@ Result<MrCCResult> MrCC::RunWindowed(const DataSource& source) const {
   // snapshot and label every point against the trailing window's
   // clusters.
   const size_t chunk_points = ChunkPointsFor(params_, source.NumDims(), 1);
-  uint64_t chunks = 0;
   PrefetchStats prefetch;
   const ReadAheadScanner scanner(source, params_.read_ahead_chunks);
   MRCC_RETURN_IF_ERROR(scanner.ScanChunks(
       0, n, chunk_points,
       [&](size_t, std::span<const double> values) -> Status {
-        ++chunks;
         return engine->PushChunk(values);
       },
       &prefetch));
   Result<MrCCResult> result = engine->Snapshot(source);
   if (!result.ok()) return result.status();
-  result->stats.chunks_scanned = chunks;
+  result->stats.chunks_scanned = prefetch.chunks;
   result->stats.chunk_points = chunk_points;
   result->stats.read_ahead_chunks = params_.read_ahead_chunks;
-  result->stats.prefetch_stalls = prefetch.stalls;
-  result->stats.prefetch_queue_full_waits = prefetch.queue_full_waits;
+  result->stats.prefetch_stalls += prefetch.stalls;
+  result->stats.prefetch_queue_full_waits += prefetch.queue_full_waits;
   result->stats.resident_point_bound =
       std::min<size_t>(BuffersPerScan(params_) * chunk_points, n);
   MetricsRegistry& metrics = MetricsRegistry::Global();
-  metrics.counter("tree.chunks_scanned").Add(static_cast<int64_t>(chunks));
+  metrics.counter("tree.chunks_scanned").Add(
+      static_cast<int64_t>(prefetch.chunks));
   metrics.gauge("memory.resident_points").SetMax(
       static_cast<int64_t>(result->stats.resident_point_bound));
   result->stats.total_seconds = total.ElapsedSeconds();
-  metrics.gauge("memory.high_water_bytes").SetMax(MemoryTracker::PeakBytes());
   return result;
 }
 

@@ -183,7 +183,8 @@ struct MrCCStats {
   int effective_resolutions = 0;
 
   /// Input points dropped / clamped into [0,1) by the bad-point policy
-  /// during the tree-build scan (0 under kReject, which fails instead).
+  /// during the tree-build scan, or over a StreamingMrCC feed's pushes
+  /// (0 under kReject, which fails instead).
   uint64_t points_skipped = 0;
   uint64_t points_clamped = 0;
 
@@ -230,6 +231,51 @@ struct MrCCResult {
 
   MrCCStats stats;
 };
+
+/// Effective chunk size (points) of the streaming scans: an explicit
+/// params.chunk_points wins; otherwise a 4096-point default, shrunk so
+/// `shards` scans' chunk buffers together — read_ahead_chunks deep each —
+/// fit in half of budget.max_memory_bytes (the other half belongs to the
+/// tree). Never zero.
+size_t ChunkPointsFor(const MrCCParams& params, size_t num_dims, int shards);
+
+/// Input-hygiene and scan counters of one CountSlice call.
+struct SliceCounts {
+  /// Points dropped / clamped by params.bad_point_policy.
+  uint64_t points_skipped = 0;
+  uint64_t points_clamped = 0;
+
+  /// The slice scan's counters; prefetch.chunks is its chunk count.
+  PrefetchStats prefetch;
+};
+
+/// Counts points [begin, end) of `source` into a fresh Counting-tree of
+/// params.num_resolutions levels: one read-ahead scan of `chunk_points`
+/// chunks, params.read_ahead_chunks deep, each point classified (and
+/// clamped or skipped) by params.bad_point_policy before Builder::Add.
+/// Honors the `tree.build.alloc` and `source.read.corrupt` failpoints.
+/// The one slice counter of every sharded build, in process and across
+/// processes. `counts` accumulates (+=) the slice's counters.
+[[nodiscard]] Result<CountingTree> CountSlice(const DataSource& source,
+                                              size_t begin, size_t end,
+                                              const MrCCParams& params,
+                                              size_t chunk_points,
+                                              SliceCounts* counts);
+
+/// The post-tree half of the pipeline, shared by MrCC::Run,
+/// StreamingMrCC snapshots and the sharded merger: sheds tree resolution
+/// while `tracker` reports memory pressure, records the tree's shape,
+/// then — unless the wall deadline already passed — runs the β-search
+/// (§III-B), merges the β-clusters and labels every point of
+/// `label_source` (§III-C; labels stay empty when it is null). `stats`
+/// carries what the caller measured so far; total_seconds is the
+/// tracker's age, so the caller constructs `tracker` when its run starts.
+/// Every concession lands in stats.degradation_reasons.
+[[nodiscard]] Result<MrCCResult> ClusterTree(CountingTree& tree,
+                                             const MrCCParams& params,
+                                             const DataSource* label_source,
+                                             BudgetTracker& tracker,
+                                             MrCCStats stats);
 
 /// The Multi-resolution Correlation Clustering method.
 class MrCC : public SubspaceClusterer {

@@ -6,11 +6,7 @@
 #include <utility>
 
 #include "common/metrics.h"
-#include "common/parallel.h"
-#include "common/timer.h"
 #include "common/trace.h"
-#include "core/beta_cluster_finder.h"
-#include "core/cluster_builder.h"
 #include "core/tree_io.h"
 #include "data/sanitize.h"
 
@@ -52,12 +48,15 @@ Status StreamingMrCC::Push(std::span<const double> point) {
   }
   if (action == PointAction::kSkip) {
     ++points_skipped_;
+    MetricsRegistry::Global().counter("input.points_skipped").Increment();
     return Status::OK();
   }
   if (action == PointAction::kClamp) {
     scratch_.assign(point.begin(), point.end());
     SanitizePoint(scratch_, params_.bad_point_policy);
     point = scratch_;
+    ++points_clamped_;
+    MetricsRegistry::Global().counter("input.points_clamped").Increment();
   }
   MRCC_RETURN_IF_ERROR(current_->Insert(point));
   ++points_seen_;
@@ -105,136 +104,39 @@ Status StreamingMrCC::SealGeneration() {
 
 Result<MrCCResult> StreamingMrCC::Run(const DataSource* label_source) {
   MRCC_TRACE_SPAN_N("mrcc.run", static_cast<int64_t>(retained_));
-  Timer total;
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  const int num_threads = ResolveThreadCount(params_.num_threads);
   BudgetTracker tracker(params_.budget);
-
-  MrCCResult result;
-  result.stats.num_threads = num_threads;
-  result.stats.points_skipped = points_skipped_;
-  const auto note_degraded = [&result](std::string reason) {
-    result.stats.degraded = true;
-    result.stats.degradation_reasons.push_back(std::move(reason));
-  };
+  MrCCStats stats;
+  stats.points_skipped = points_skipped_;
+  stats.points_clamped = points_clamped_;
 
   // Assemble the window tree: fold the generations oldest-to-newest,
   // the filling generation last — creation order equals stream order,
   // so the fold reproduces a batch build over the retained points
-  // exactly. Always fold into a scratch tree: the budget drops below
-  // must never mutate the live generations.
-  Timer phase;
+  // exactly. Always fold into a scratch tree: the budget drops in
+  // ClusterTree must never mutate the live generations, so the next
+  // snapshot starts from full H again.
   current_->Seal();  // Re-opens automatically on the next Push.
   Result<CountingTree> merged = EmptyTree();
   if (!merged.ok()) return merged.status();
-  MergeTreeStats merge_stats;
   {
     MRCC_TRACE_SPAN_N("tree.merge",
                       static_cast<int64_t>(generations_.size() + 1));
     for (const CountingTree& generation : generations_) {
       Result<MergeTreeStats> fold = MergeTree(&*merged, generation);
       if (!fold.ok()) return fold.status();
-      merge_stats += *fold;
+      stats.tree_merge += *fold;
     }
     Result<MergeTreeStats> fold = MergeTree(&*merged, *current_);
     if (!fold.ok()) return fold.status();
-    merge_stats += *fold;
+    stats.tree_merge += *fold;
   }
-  result.stats.tree_merge = merge_stats;
-  result.stats.tree_build_seconds = phase.ElapsedSeconds();
-  result.stats.tree_merge_seconds = result.stats.tree_build_seconds;
-  result.stats.tree_build_threads = 1;
+  stats.tree_build_seconds = tracker.ElapsedSeconds();
+  stats.tree_merge_seconds = stats.tree_build_seconds;
 
-  // Memory pressure: shed resolution on the snapshot tree (the live
-  // generations keep theirs — the next snapshot starts from full H).
-  while (tracker.MemoryPressure(merged->MemoryBytes())) {
-    const size_t before = merged->MemoryBytes();
-    if (!merged->DropDeepestLevel().ok()) {
-      note_degraded("memory budget still exceeded at the minimum H = 3 (" +
-                    std::to_string(merged->MemoryBytes()) +
-                    " bytes); continuing");
-      break;
-    }
-    metrics.counter("budget.depth_drops").Add(1);
-    note_degraded("memory pressure: dropped the deepest resolution level "
-                  "(H now " + std::to_string(merged->num_resolutions()) +
-                  ", " + std::to_string(before) + " -> " +
-                  std::to_string(merged->MemoryBytes()) + " bytes)");
-  }
-  result.stats.effective_resolutions = merged->num_resolutions();
-  result.stats.tree_memory_bytes = merged->MemoryBytes();
-  result.stats.cells_per_level.assign(
-      static_cast<size_t>(merged->num_resolutions()), 0);
-  for (int h = 1; h < merged->num_resolutions(); ++h) {
-    result.stats.cells_per_level[static_cast<size_t>(h)] =
-        merged->NumCellsAtLevel(h);
-  }
-  metrics.gauge("tree.memory_bytes").Set(
-      static_cast<int64_t>(result.stats.tree_memory_bytes));
-
-  const size_t label_points =
-      label_source != nullptr ? label_source->NumPoints() : 0;
-  if (tracker.DeadlineExceeded()) {
-    note_degraded("wall deadline exceeded after the window fold (" +
-                  std::to_string(tracker.ElapsedSeconds()) +
-                  "s): returning an empty clustering, all points noise");
-    result.clustering.labels.assign(label_points, kNoiseLabel);
-    result.stats.total_seconds = total.ElapsedSeconds();
-    return result;
-  }
-
-  // β-search over the folded window, identical to the batch pipeline.
-  phase.Reset();
-  BetaFinderOptions finder_options;
-  finder_options.alpha = params_.alpha;
-  finder_options.full_mask = params_.full_mask;
-  finder_options.num_threads = num_threads;
-  result.stats.beta_search_threads = num_threads;
-  merged->ResetUsedFlags();
-  {
-    MRCC_TRACE_SPAN("beta.search");
-    Result<BetaSearchResult> search =
-        RunBetaSearch(*merged, finder_options, &tracker);
-    if (!search.ok()) return search.status();
-    result.beta_clusters = std::move(search->betas);
-    result.stats.beta_search = search->stats;
-  }
-  if (result.stats.beta_search.deadline_hit) {
-    note_degraded(
-        "wall deadline exceeded during the β-search: the β-clusters are "
-        "a deterministic prefix of the full search");
-  }
-  result.stats.beta_search_seconds = phase.ElapsedSeconds();
-
-  phase.Reset();
-  {
-    MRCC_TRACE_SPAN_N("cluster.merge_betas",
-                      static_cast<int64_t>(result.beta_clusters.size()));
-    result.clustering = MergeBetaClusters(result.beta_clusters, num_dims_,
-                                          &result.beta_to_cluster);
-  }
-  if (label_source != nullptr) {
-    result.stats.labeling_threads = num_threads;
-    if (tracker.DeadlineExceeded()) {
-      note_degraded("wall deadline exceeded before labeling: skipping the "
-                    "labeling scan, all points labeled noise");
-      result.clustering.labels.assign(label_points, kNoiseLabel);
-    } else {
-      Result<std::vector<int>> labels(Status::Internal("labeling not run"));
-      {
-        MRCC_TRACE_SPAN_N("cluster.label_points",
-                          static_cast<int64_t>(label_points));
-        labels = LabelPoints(result.beta_clusters, result.beta_to_cluster,
-                             *label_source, num_threads,
-                             params_.bad_point_policy, params_.chunk_points);
-      }
-      if (!labels.ok()) return labels.status();
-      result.clustering.labels = std::move(*labels);
-    }
-  }
-  result.stats.cluster_build_seconds = phase.ElapsedSeconds();
-  result.stats.total_seconds = total.ElapsedSeconds();
-  return result;
+  // The fold leaves every used flag clear (MergeTree re-seals), so the
+  // window is searched exactly like a freshly built batch tree.
+  return ClusterTree(*merged, params_, label_source, tracker,
+                     std::move(stats));
 }
 
 }  // namespace mrcc

@@ -20,11 +20,13 @@
 //     the child-sum-equals-parent invariant exact; see DESIGN.md §14.)
 //
 // Snapshot() re-runs the β-search over the current window: the
-// generation trees are folded (newest-to-oldest order preserved) into
-// one tree equal, cell for cell, to a batch build over exactly the
-// retained points, then searched. No raw points are kept, so a plain
-// Snapshot() returns empty labels; pass a DataSource holding the points
-// to label them against the window's clusters.
+// generation trees are folded (oldest-to-newest, stream order) into one
+// tree equal, cell for cell, to a batch build over exactly the retained
+// points, which then goes through ClusterTree (core/mrcc.h) — the same
+// post-tree function MrCC::Run and the sharded merger call. No raw
+// points are kept, so a plain Snapshot() returns empty labels; pass a
+// DataSource holding the points to label them against the window's
+// clusters.
 
 #pragma once
 
@@ -68,7 +70,8 @@ class StreamingMrCC {
   /// Points evicted with their generations (0 when unwindowed).
   uint64_t points_evicted() const { return points_evicted_; }
 
-  /// Points dropped by the kSkip bad-point policy.
+  /// Points dropped by the bad-point policy (kSkip, or a non-finite
+  /// point under kClamp).
   uint64_t points_skipped() const { return points_skipped_; }
 
   /// Sealed generations currently retained (excludes the one filling).
@@ -116,6 +119,7 @@ class StreamingMrCC {
   uint64_t retained_ = 0;
   uint64_t points_evicted_ = 0;
   uint64_t points_skipped_ = 0;
+  uint64_t points_clamped_ = 0;
 
   std::vector<double> scratch_;  // Clamp buffer, reused across pushes.
 };

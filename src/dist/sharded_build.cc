@@ -1,45 +1,16 @@
 #include "dist/sharded_build.h"
 
-#include <algorithm>
-#include <limits>
 #include <utility>
-#include <vector>
 
 #include "common/budget.h"
 #include "common/failpoint.h"
 #include "common/fs.h"
 #include "common/metrics.h"
-#include "common/parallel.h"
-#include "common/timer.h"
 #include "common/trace.h"
-#include "core/beta_cluster_finder.h"
-#include "core/cluster_builder.h"
 #include "core/tree_io.h"
-#include "data/prefetch.h"
-#include "data/sanitize.h"
 
 namespace mrcc {
 namespace dist {
-namespace {
-
-/// Scan chunk size (points) of the worker and labeling scans. The chunk
-/// size never changes results (DataSource contract), so the distributed
-/// path does not replicate the single-process budget-driven shrink — an
-/// explicit params.chunk_points still wins.
-constexpr size_t kDefaultChunkPoints = 4096;
-
-size_t ChunkPointsFor(const MrCCParams& params) {
-  return params.chunk_points > 0 ? params.chunk_points : kDefaultChunkPoints;
-}
-
-/// Opens the dataset with the block-read backend — every worker holds
-/// only its scan's chunk buffers, so N processes stay out-of-core.
-Result<ChunkedBinaryDataSource> OpenDataset(const std::string& path) {
-  return ChunkedBinaryDataSource::Open(path);
-}
-
-}  // namespace
-
 std::string ManifestPath(const std::string& work_dir) {
   return work_dir + "/manifest.json";
 }
@@ -49,10 +20,18 @@ std::string ShardArtifactPath(const std::string& work_dir, size_t index) {
 }
 
 Result<BuildManifest> PrepareManifest(const ShardedBuildOptions& options) {
+  if (options.params.window.enabled()) {
+    // Shards count disjoint slices of a static file; the sliding window
+    // belongs to the streaming engine and has no sharded equivalent.
+    return Status::InvalidArgument(
+        "params.window is not supported by sharded builds: cluster "
+        "windowed data with MrCC::Run or StreamingMrCC");
+  }
   // Every artifact in the build lands under work_dir; create it up front
   // so a first run does not need an out-of-band mkdir.
   MRCC_RETURN_IF_ERROR(MakeDirs(options.work_dir));
-  Result<ChunkedBinaryDataSource> source = OpenDataset(options.dataset_path);
+  Result<ChunkedBinaryDataSource> source =
+      ChunkedBinaryDataSource::Open(options.dataset_path);
   MRCC_RETURN_IF_ERROR(source.status());
   MRCC_RETURN_IF_ERROR(options.params.Validate(source->NumDims()));
   Result<uint64_t> fingerprint = FingerprintDataset(options.dataset_path);
@@ -118,7 +97,8 @@ bool ShardComplete(const ShardedBuildOptions& options,
 
 Result<CountingTree> BuildShardTree(const ShardedBuildOptions& options,
                                     uint64_t begin, uint64_t end) {
-  Result<ChunkedBinaryDataSource> source = OpenDataset(options.dataset_path);
+  Result<ChunkedBinaryDataSource> source =
+      ChunkedBinaryDataSource::Open(options.dataset_path);
   MRCC_RETURN_IF_ERROR(source.status());
   if (end > source->NumPoints() || begin >= end) {
     return Status::InvalidArgument(
@@ -126,51 +106,15 @@ Result<CountingTree> BuildShardTree(const ShardedBuildOptions& options,
         std::to_string(end) + ") outside dataset of " +
         std::to_string(source->NumPoints()) + " points");
   }
-  const size_t num_dims = source->NumDims();
-  const BadPointPolicy policy = options.params.bad_point_policy;
   MRCC_TRACE_SPAN_N("shard.build", static_cast<int64_t>(end - begin));
-  CountingTree::Builder builder(num_dims, options.params.num_resolutions);
-  MRCC_RETURN_IF_ERROR(fp::Maybe("tree.build.alloc"));
-  MRCC_RETURN_IF_ERROR(builder.status());
-  std::vector<double> scratch;
-  // Identical chunked fold to the in-process sharded build (mrcc.cc):
-  // chunks arrive in order and cover [begin, end) exactly once, and the
-  // per-point classify/sanitize steps match, so this tree equals the
-  // slice a single-process worker would have counted.
-  const ReadAheadScanner scanner(*source, options.params.read_ahead_chunks);
-  MRCC_RETURN_IF_ERROR(scanner.ScanChunks(
-      begin, end, ChunkPointsFor(options.params),
-      [&](size_t first, std::span<const double> values) -> Status {
-        const size_t count = values.size() / num_dims;
-        for (size_t j = 0; j < count; ++j) {
-          std::span<const double> point =
-              values.subspan(j * num_dims, num_dims);
-          if (fp::MaybeTrue("source.read.corrupt")) {
-            scratch.assign(point.begin(), point.end());
-            scratch[0] = std::numeric_limits<double>::quiet_NaN();
-            point = scratch;
-          }
-          const PointAction action = ClassifyPoint(point, policy);
-          if (action == PointAction::kReject) {
-            return Status::InvalidArgument(
-                "point " + std::to_string(first + j) + " of " +
-                source->Name() +
-                " has a NaN/Inf/out-of-[0,1) value; normalize the data "
-                "or pick a bad_point_policy");
-          }
-          if (action == PointAction::kSkip) continue;
-          if (action == PointAction::kClamp) {
-            if (point.data() != scratch.data()) {
-              scratch.assign(point.begin(), point.end());
-            }
-            SanitizePoint(scratch, policy);
-            point = scratch;
-          }
-          MRCC_RETURN_IF_ERROR(builder.Add(point));
-        }
-        return Status::OK();
-      }));
-  return std::move(builder).Finish();
+  // The in-process sharded build's own slice counter, so this tree equals
+  // the slice a single-process worker would have counted. The chunked
+  // source holds only the scan's chunk buffers, so N worker processes
+  // stay out-of-core. Shard artifacts carry no skipped/clamped counts.
+  SliceCounts counts;
+  return CountSlice(*source, begin, end, options.params,
+                    ChunkPointsFor(options.params, source->NumDims(), 1),
+                    &counts);
 }
 
 Status BuildShard(const ShardedBuildOptions& options,
@@ -266,65 +210,28 @@ Result<CountingTree> MergeShardTrees(const ShardedBuildOptions& options,
 
 Result<MrCCResult> MergeShards(const ShardedBuildOptions& options,
                                const BuildManifest& manifest) {
-  Result<ChunkedBinaryDataSource> source = OpenDataset(options.dataset_path);
+  Result<ChunkedBinaryDataSource> source =
+      ChunkedBinaryDataSource::Open(options.dataset_path);
   MRCC_RETURN_IF_ERROR(source.status());
   MRCC_RETURN_IF_ERROR(options.params.Validate(source->NumDims()));
-  const int num_threads = ResolveThreadCount(options.params.num_threads);
+  BudgetTracker tracker(options.params.budget);
 
-  MrCCResult result;
-  result.stats.num_threads = num_threads;
-  Timer total;
-
-  Timer phase;
+  MrCCStats stats;
   Result<CountingTree> tree(Status::Internal("merge not run"));
   {
     MRCC_TRACE_SPAN_N("merge.fold",
                       static_cast<int64_t>(manifest.shards.size()));
-    tree = MergeShardTrees(options, manifest, &result.stats.tree_merge);
+    tree = MergeShardTrees(options, manifest, &stats.tree_merge);
   }
   MRCC_RETURN_IF_ERROR(tree.status());
-  result.stats.tree_merge_seconds = phase.ElapsedSeconds();
-  result.stats.tree_build_seconds = result.stats.tree_merge_seconds;
-  result.stats.effective_resolutions = tree->num_resolutions();
-  result.stats.tree_memory_bytes = tree->MemoryBytes();
+  stats.tree_merge_seconds = tracker.ElapsedSeconds();
+  stats.tree_build_seconds = stats.tree_merge_seconds;
 
-  // From here the pipeline is MrCC::Run's phases 2-3 verbatim: β-search
-  // over the merged tree, geometric cluster merge, labeling scan. The
-  // merged tree equals the serial tree, every phase is deterministic, so
-  // the result is bit-identical to the single-process run.
-  BudgetTracker tracker(options.params.budget);
-  phase.Reset();
-  BetaFinderOptions finder_options;
-  finder_options.alpha = options.params.alpha;
-  finder_options.full_mask = options.params.full_mask;
-  finder_options.num_threads = num_threads;
-  result.stats.beta_search_threads = num_threads;
-  {
-    MRCC_TRACE_SPAN("beta.search");
-    Result<BetaSearchResult> search =
-        RunBetaSearch(*tree, finder_options, &tracker);
-    MRCC_RETURN_IF_ERROR(search.status());
-    result.beta_clusters = std::move(search->betas);
-    result.stats.beta_search = search->stats;
-  }
-  result.stats.beta_search_seconds = phase.ElapsedSeconds();
-
-  phase.Reset();
-  result.clustering = MergeBetaClusters(
-      result.beta_clusters, source->NumDims(), &result.beta_to_cluster);
-  result.stats.labeling_threads = num_threads;
-  PrefetchStats label_prefetch;
-  Result<std::vector<int>> labels = LabelPoints(
-      result.beta_clusters, result.beta_to_cluster, *source, num_threads,
-      options.params.bad_point_policy, ChunkPointsFor(options.params),
-      options.params.read_ahead_chunks, &label_prefetch);
-  MRCC_RETURN_IF_ERROR(labels.status());
-  result.clustering.labels = std::move(*labels);
-  result.stats.prefetch_stalls = label_prefetch.stalls;
-  result.stats.prefetch_queue_full_waits = label_prefetch.queue_full_waits;
-  result.stats.cluster_build_seconds = phase.ElapsedSeconds();
-  result.stats.total_seconds = total.ElapsedSeconds();
-  return result;
+  // The merged tree equals the serial tree, and MrCC::Run hands its tree
+  // to the same ClusterTree, so the result is bit-identical to the
+  // single-process run — budget concessions included.
+  return ClusterTree(*tree, options.params, &*source, tracker,
+                     std::move(stats));
 }
 
 Result<MrCCResult> RunShardedBuild(const ShardedBuildOptions& options) {

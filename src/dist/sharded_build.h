@@ -4,15 +4,21 @@
 // worker processes: each worker counts one contiguous point partition
 // into a Counting-tree and publishes it as a checksummed artifact
 // (dist/shard_io.h); a merger then folds the shard trees left-to-right
-// with the layout-preserving MergeTree and runs the search + labeling
-// phases once over the merged tree.
+// with the layout-preserving MergeTree and hands the merged tree to
+// ClusterTree (core/mrcc.h), the post-tree function MrCC::Run calls.
+// Workers count their partitions with MrCC's own slice counter,
+// CountSlice.
 //
 // Why this is bit-identical to a single-process run: MergeTree's
 // left-to-right fold over ordered contiguous partitions reproduces the
 // serial build's tree node-for-node and cell-for-cell (core/tree_io.h),
-// and every downstream stage is deterministic at any thread count — so
-// labels, clusters, and even the serialized tree bytes match the
+// and the search and labeling are the single-process code itself,
+// deterministic at any thread count — so labels, clusters, budget
+// concessions and even the serialized tree bytes match the
 // single-process golden hashes exactly (tests/golden_regression_test.cc).
+//
+// The sliding window (MrCCParams::window) has no sharded form:
+// PrepareManifest refuses windowed params.
 //
 // Crash-safety model (DESIGN.md §16):
 //   - every artifact and the manifest publish via WriteFileAtomic: a
@@ -69,6 +75,7 @@ std::string ShardArtifactPath(const std::string& work_dir, size_t index);
 /// current fingerprint, the parameter hash, and the dataset shape;
 /// any mismatch is InvalidArgument (stale state must fail loudly, not
 /// fold silently). With no manifest present, a fresh plan is written.
+/// Windowed params (params.window.enabled()) are InvalidArgument.
 [[nodiscard]] Result<BuildManifest> PrepareManifest(
     const ShardedBuildOptions& options);
 
@@ -79,8 +86,8 @@ bool ShardComplete(const ShardedBuildOptions& options,
                    const BuildManifest& manifest, size_t index);
 
 /// Builds the Counting-tree over points [begin, end) of the dataset —
-/// the worker's core. Chunked scan, same bad-point handling as the
-/// single-process build.
+/// the worker's core: CountSlice over the partition, exactly as a
+/// single-process build worker counts its slice.
 [[nodiscard]] Result<CountingTree> BuildShardTree(
     const ShardedBuildOptions& options, uint64_t begin, uint64_t end);
 
@@ -106,9 +113,10 @@ bool ShardComplete(const ShardedBuildOptions& options,
     const ShardedBuildOptions& options, const BuildManifest& manifest,
     MergeTreeStats* merge_stats = nullptr);
 
-/// The merger's whole job: MergeShardTrees, then the β-search, cluster
-/// merge, and labeling scan — the exact phases MrCC::Run performs after
-/// its tree build, producing a bit-identical MrCCResult.
+/// The merger's whole job: MergeShardTrees, then ClusterTree — the
+/// β-search, cluster merge and labeling scan MrCC::Run runs after its
+/// tree build, under the same params.budget — producing a bit-identical
+/// MrCCResult.
 [[nodiscard]] Result<MrCCResult> MergeShards(
     const ShardedBuildOptions& options, const BuildManifest& manifest);
 

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "test_util.h"
 
 namespace mrcc {
@@ -93,6 +95,46 @@ TEST(ClusterBuilderTest, ResultValidates) {
                            {true, false, false, false, false, false}));
   Clustering c = BuildCorrelationClusters(betas, ds.data);
   EXPECT_TRUE(c.Validate(ds.data.NumPoints(), ds.data.NumDims()).ok());
+}
+
+TEST(ClusterBuilderTest, LabelingReadsEachPointExactlyOnce) {
+  // Complexity contract (§III-C): labeling is one pass over the data.
+  // Every slice scans its points in ceil(slice / chunk) chunks, so the
+  // chunk count is the sum of those over the slices — ceil(n / chunk) at
+  // one thread — at every read-ahead depth.
+  const size_t n = 10007;
+  const size_t chunk_points = 1000;
+  const Dataset d = testing::UniformDataset(n, 3, 5);
+  const MemoryDataSource source(d);
+  std::vector<BetaCluster> betas;
+  betas.push_back(MakeBeta({0.0, 0.0, 0.0}, {0.5, 0.5, 1.0},
+                           {true, true, false}));
+  const std::vector<int> beta_to_cluster = {0};
+  const std::vector<int> expected_labels =
+      BuildCorrelationClusters(betas, d).labels;
+  for (const int threads : {1, 3}) {
+    for (const size_t depth : {size_t{0}, size_t{2}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " depth=" + std::to_string(depth));
+      PrefetchStats prefetch;
+      Result<std::vector<int>> labels =
+          LabelPoints(betas, beta_to_cluster, source, threads,
+                      BadPointPolicy::kReject, chunk_points, depth,
+                      &prefetch);
+      ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+      EXPECT_EQ(*labels, expected_labels);
+      uint64_t expected_chunks = 0;
+      for (int t = 0; t < threads; ++t) {
+        const size_t slice =
+            SliceEnd(n, threads, t) - SliceBegin(n, threads, t);
+        expected_chunks += (slice + chunk_points - 1) / chunk_points;
+      }
+      EXPECT_EQ(prefetch.chunks, expected_chunks);
+      if (threads == 1) {
+        EXPECT_EQ(prefetch.chunks, (n + chunk_points - 1) / chunk_points);
+      }
+    }
+  }
 }
 
 }  // namespace

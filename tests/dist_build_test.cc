@@ -108,6 +108,49 @@ TEST_F(DistBuildTest, MergedTreeEqualsSerialTree) {
   EXPECT_EQ(SerializeTree(*merged), SerializeTree(*serial));
 }
 
+TEST_F(DistBuildTest, MergerMatchesSingleProcessUnderAMemoryBudget) {
+  // A cap just below the full tree's footprint forces the deepest level
+  // out. The merger must make the same concession MrCC::Run makes, so
+  // every budget-dependent output matches, not only the labels.
+  Result<CountingTree> full =
+      CountingTree::Build(data_, options_.params.num_resolutions);
+  ASSERT_TRUE(full.ok());
+  ShardedBuildOptions options = options_;
+  options.params.budget.max_memory_bytes = full->MemoryBytes() - 1;
+  Result<MrCCResult> single = MrCC(options.params).Run(data_);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  ASSERT_TRUE(single->stats.degraded);
+  ASSERT_LT(single->stats.effective_resolutions,
+            options.params.num_resolutions);
+
+  Result<MrCCResult> sharded = RunShardedBuild(options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ExpectSameResults(*single, *sharded);
+  EXPECT_EQ(sharded->stats.effective_resolutions,
+            single->stats.effective_resolutions);
+  EXPECT_EQ(sharded->stats.degraded, single->stats.degraded);
+  EXPECT_EQ(sharded->stats.cells_per_level, single->stats.cells_per_level);
+  const BetaSearchStats& a = single->stats.beta_search;
+  const BetaSearchStats& b = sharded->stats.beta_search;
+  EXPECT_EQ(b.cells_convolved, a.cells_convolved);
+  EXPECT_EQ(b.index_probes, a.index_probes);
+  EXPECT_EQ(b.candidates_tested, a.candidates_tested);
+  EXPECT_EQ(b.binomial_tests, a.binomial_tests);
+  EXPECT_EQ(b.accepted, a.accepted);
+  EXPECT_EQ(b.deadline_hit, a.deadline_hit);
+}
+
+TEST_F(DistBuildTest, WindowedParamsAreRejected) {
+  // Nothing in the sharded path applies a window, so accepting one would
+  // silently cluster every point instead of the trailing window.
+  ShardedBuildOptions options = options_;
+  options.params.window.points = 1000;
+  EXPECT_EQ(PrepareManifest(options).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(RunShardedBuild(options).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST_F(DistBuildTest, ResumeSkipsCompletedShards) {
   Result<BuildManifest> manifest = PrepareManifest(options_);
   ASSERT_TRUE(manifest.ok());

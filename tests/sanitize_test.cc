@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "core/mrcc.h"
 #include "test_util.h"
 
@@ -100,13 +101,29 @@ TEST(SanitizePipelineTest, SkipPolicyCompletesAndCountsEveryDrop) {
 
 TEST(SanitizePipelineTest, ClampPolicyKeepsFinitePointsDropsNonFinite) {
   const Dataset d = DirtyDataset();
-  MrCCParams params;
-  params.bad_point_policy = BadPointPolicy::kClamp;
-  const Result<MrCCResult> result = MrCC(params).Run(d);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->stats.points_skipped, 2u);  // The NaN and Inf points.
-  EXPECT_EQ(result->stats.points_clamped, 2u);
-  EXPECT_EQ(result->clustering.labels[10], kNoiseLabel);
+  // The batch build and the windowed engine (a window large enough to
+  // evict nothing) must report the same hygiene, in MrCCStats and in the
+  // input.* metrics alike.
+  for (const size_t window : {size_t{0}, size_t{100000}}) {
+    SCOPED_TRACE("window=" + std::to_string(window));
+    MrCCParams params;
+    params.bad_point_policy = BadPointPolicy::kClamp;
+    params.window.points = window;
+    MetricsRegistry& metrics = MetricsRegistry::Global();
+    const int64_t skipped_before =
+        metrics.counter("input.points_skipped").value();
+    const int64_t clamped_before =
+        metrics.counter("input.points_clamped").value();
+    const Result<MrCCResult> result = MrCC(params).Run(d);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->stats.points_skipped, 2u);  // The NaN and Inf points.
+    EXPECT_EQ(result->stats.points_clamped, 2u);
+    EXPECT_EQ(metrics.counter("input.points_skipped").value() -
+                  skipped_before, 2);
+    EXPECT_EQ(metrics.counter("input.points_clamped").value() -
+                  clamped_before, 2);
+    EXPECT_EQ(result->clustering.labels[10], kNoiseLabel);
+  }
 }
 
 TEST(SanitizePipelineTest, CleanDataIsPolicyInvariant) {

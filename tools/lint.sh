@@ -17,8 +17,8 @@
 #
 # Semantic rules that need to understand the code — failpoint site names
 # against the closed registry, metric/span taxonomy, unchecked
-# Result::value(), and the cell-storage encapsulation rule (formerly ban
-# #5 here) — live in tools/mrcc_lint.py.
+# Result::value(), the cell-storage encapsulation rule (formerly ban
+# #5 here) and the one-pipeline rule — live in tools/mrcc_lint.py.
 #
 # Modes:
 #   tools/lint.sh            bans + mrcc_lint.py

@@ -53,6 +53,17 @@ offending line):
                      layout stays an implementation detail. (Moved here
                      from tools/lint.sh ban #5.)
 
+  one-pipeline       Inside src/, RunBetaSearch(, MergeBetaClusters( and
+                     LabelPoints( may be called only from
+                     src/core/mrcc.cc (ClusterTree, the one post-tree
+                     pipeline that MrCC::Run, StreamingMrCC snapshots and
+                     the sharded merger share) and from the files that
+                     define them (src/core/beta_cluster_finder.*,
+                     src/core/cluster_builder.*). A second caller would
+                     be a second copy of the search-merge-label phases,
+                     free to drift from the first. Fixtures under
+                     tests/compile_fail/ are linted as src/ code.
+
 Exit status: 0 clean, 1 findings, 2 usage/internal error. Run from
 anywhere: the repo root is derived from this script's location, or pass
 --root. CI runs this in the lint job; locally just `tools/mrcc_lint.py`.
@@ -439,14 +450,43 @@ def check_cell_storage(path, source, findings):
             "CellRef (tests: CountingTree::TestPeer)"))
 
 
+# Post-tree pipeline stages -> the file stem (.h/.cc) that defines them.
+PIPELINE_STAGES = {
+    "RunBetaSearch": "src/core/beta_cluster_finder.",
+    "MergeBetaClusters": "src/core/cluster_builder.",
+    "LabelPoints": "src/core/cluster_builder.",
+}
+PIPELINE_OWNER = "src/core/mrcc.cc"
+PIPELINE_CALL_RE = re.compile(r"\b(%s)\s*\(" % "|".join(PIPELINE_STAGES))
+
+
+def check_one_pipeline(path, source, findings):
+    rel = path.replace(os.sep, "/")
+    if rel == PIPELINE_OWNER:
+        return
+    clean = neutralized(source)
+    for m in PIPELINE_CALL_RE.finditer(clean):
+        if rel.startswith(PIPELINE_STAGES[m.group(1)]):
+            continue
+        line = clean.count("\n", 0, m.start()) + 1
+        findings.append(Finding(
+            path, line, "one-pipeline",
+            "%s( outside %s: hand the tree to ClusterTree (core/mrcc.h) "
+            "instead of copying the post-tree phases"
+            % (m.group(1), PIPELINE_OWNER)))
+
+
 def lint_file(path, rel, sites, spans, result_fns, findings):
     with open(path, encoding="utf-8", errors="replace") as f:
         source = f.read()
     raw = []
     check_failpoint_sites(rel, source, sites, raw)
-    if rel.replace(os.sep, "/").startswith("src/"):
+    posix = rel.replace(os.sep, "/")
+    if posix.startswith("src/"):
         check_metric_and_span_names(rel, source, raw)
         check_spans_documented(rel, source, spans, raw)
+    if posix.startswith(("src/", "tests/compile_fail/")):
+        check_one_pipeline(rel, source, raw)
     check_result_value(rel, source, result_fns, raw)
     check_cell_storage(rel, source, raw)
     allow = suppressed_lines(source)
